@@ -99,6 +99,25 @@ def _element_to_json(elem: alg.AlgebraElement):
     ]
 
 
+def _read_input(path: str) -> dict:
+    """The JSON object of an ``--input`` file; anything else is a validation error."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValidationError("input %s is not valid JSON: %s" % (path, exc))
+    if not isinstance(data, dict):
+        raise ValidationError("input %s must hold a JSON object" % path)
+    return data
+
+
+def _int_field(data: dict, key: str) -> int:
+    value = data[key]
+    if type(value) is not int:
+        raise ValidationError("%r must be an integer, got %r" % (key, value))
+    return value
+
+
 def _coset_to_json(tc: cst.TorsionCoset):
     amb = tc.subgroup.ambient
     return {
@@ -206,8 +225,7 @@ def _cmd_keyprop_witness(args, caps):
 
 
 def _cmd_gl_verify(args, caps):
-    with open(args.input) as fh:
-        data = json.load(fh)
+    data = _read_input(args.input)
     for key in ("ell", "dim", "generators", "a", "V"):
         if key not in data:
             raise ValidationError("gl-verify input needs %r" % key)
@@ -215,11 +233,20 @@ def _cmd_gl_verify(args, caps):
     unknown = set(data) - known
     if unknown:
         raise ValidationError("unknown gl-verify fields: %s" % sorted(unknown))
-    G = glo.generate_group(data["generators"], data["ell"], data["dim"], cap=caps["group"])
+    ell, dim = _int_field(data, "ell"), _int_field(data, "dim")
+    lattice = caps["lattice"]
+    if ell >= 2 and dim >= 1:
+        # ell^dim >= 2^dim exceeds the cap once dim reaches the cap's bit
+        # length; past that the power is not built
+        points = ell ** dim if dim < lattice.bit_length() else None
+        if points is None or points > lattice:
+            raise CapExceededError(
+                "subspace lattice %d^%d exceeds cap %d" % (ell, dim, lattice),
+                required=points,
+            )
+    G = glo.generate_group(data["generators"], ell, dim, cap=caps["group"])
     V = glo.subspace_from_vectors(
-        [tuple(int(x) % data["ell"] for x in row) for row in data["V"]],
-        data["ell"],
-        data["dim"],
+        [tuple(int(x) % ell for x in row) for row in data["V"]], ell, dim
     )
     C = _rat(data["C"]) if "C" in data else None
     rep = glo.verify_bound(G, tuple(data["a"]), V, C)
@@ -266,16 +293,14 @@ def _algebra_inputs(data, need_pi=False):
 
 
 def _cmd_idempotent_lift(args, caps):
-    with open(args.input) as fh:
-        data = json.load(fh)
+    data = _read_input(args.input)
     M, N, emb, rep, u, w, _ = _algebra_inputs(data)
     v = alg.lift_idempotent(M, N, emb, rep, u, w)
     return {"v": _element_to_json(v), "M": list(M.blocks), "idempotent": True}
 
 
 def _cmd_idempotent_lift_central(args, caps):
-    with open(args.input) as fh:
-        data = json.load(fh)
+    data = _read_input(args.input)
     M, N, emb, rep, u, w, pi = _algebra_inputs(data, need_pi=True)
     v = alg.lift_idempotent_central(M, N, emb, rep, pi, u, w)
     return {"v": _element_to_json(v), "M": list(M.blocks), "idempotent": True}

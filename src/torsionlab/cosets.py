@@ -382,44 +382,84 @@ def _crt_combine(ambient: ModelAmbient, parts, moduli) -> tuple[Vector, ...]:
     return tuple(out)
 
 
-def enumerate_summands(
-    ambient: ModelAmbient, rank: int, cap: int = AMBIENT_ORDER_CAP, _cache={}
-) -> list[ModelSubvariety]:
-    """All direct summands of the ambient group isomorphic to (Z/N)^rank."""
-    key = (ambient.N, ambient.g, rank)
-    if key in _cache:
-        return _cache[key]
+#: (N, g, rank) -> (catalog, index); built by _catalog, read through
+#: enumerate_summands and summands_within
+_CATALOGS: dict = {}
+
+
+def _catalog(ambient: ModelAmbient, rank: int, cap: int):
     if ambient.order > cap:
         raise CapExceededError(
             "subgroup enumeration beyond ambient cap %d" % cap, required=ambient.order
         )
+    key = (ambient.N, ambient.g, rank)
+    if key in _CATALOGS:
+        return _CATALOGS[key]
     if rank % 2 != 0 or rank > ambient.rank:
         raise ValidationError("summand rank must be even and at most 2g")
     fact = factorize(ambient.N).factors
-    if not fact:  # N = 1: the group is trivial
-        result = [ModelSubvariety(ambient, tuple())] if rank == 0 else []
-        _cache[key] = result
-        return result
-    per_prime = []
-    moduli = []
-    for p, e in fact:
-        q = p ** e
-        per_prime.append(list(_free_summand_bases_prime_power(q, p, ambient.rank, rank)))
-        moduli.append(q)
     result = []
-    for combo in itertools.product(*per_prime):
-        if rank == 0:
-            result.append(ModelSubvariety(ambient, tuple()))
-            continue
-        basis = _crt_combine(ambient, combo, moduli)
-        result.append(ModelSubvariety(ambient, basis))
-    _cache[key] = result
-    return result
+    if rank == 0:
+        result.append(ModelSubvariety(ambient, tuple()))
+    elif fact:  # N = 1 is the trivial group: no summand of positive rank
+        per_prime = []
+        moduli = []
+        for p, e in fact:
+            q = p ** e
+            per_prime.append(
+                list(_free_summand_bases_prime_power(q, p, ambient.rank, rank))
+            )
+            moduli.append(q)
+        for combo in itertools.product(*per_prime):
+            basis = _crt_combine(ambient, combo, moduli)
+            result.append(ModelSubvariety(ambient, basis))
+    index: dict[Vector, list[ModelSubvariety]] = {}
+    for B in result:
+        index.setdefault(B.basis[0] if B.basis else (), []).append(B)
+    _CATALOGS[key] = (result, index)
+    return result, index
+
+
+def enumerate_summands(
+    ambient: ModelAmbient, rank: int, cap: int = AMBIENT_ORDER_CAP
+) -> list[ModelSubvariety]:
+    """All direct summands of the ambient group isomorphic to (Z/N)^rank.
+
+    Each catalog is built once per (N, g, rank) and cached together with its
+    index, which maps a summand's first basis vector to the summands it
+    leads (the zero summand sits under the key ``()``); ``summands_within``
+    answers from the index instead of scanning the catalog.  The cap is
+    checked before the cache, so a smaller cap refuses a catalog an earlier
+    call built.
+    """
+    return _catalog(ambient, rank, cap)[0]
 
 
 def all_summands(ambient: ModelAmbient, cap: int = AMBIENT_ORDER_CAP):
     for rank in range(0, ambient.rank + 1, 2):
         yield from enumerate_summands(ambient, rank, cap)
+
+
+def summands_within(ambient: ModelAmbient, allowed, cap: int = AMBIENT_ORDER_CAP):
+    """Every summand whose basis vectors all lie in the set ``allowed``.
+
+    The same summands as filtering ``all_summands`` by
+    ``all(v in allowed for v in B.basis)``, zero summand included, but
+    looked up by leading basis vector; the order is not the catalog's.
+    """
+    for rank in range(0, ambient.rank + 1, 2):
+        index = _catalog(ambient, rank, cap)[1]
+        if rank == 0:
+            yield from index[()]
+            continue
+        if len(allowed) < len(index):
+            led = (index[v] for v in allowed if v in index)
+        else:
+            led = (Bs for v, Bs in index.items() if v in allowed)
+        for Bs in led:
+            for B in Bs:
+                if all(v in allowed for v in B.basis[1:]):
+                    yield B
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +514,8 @@ def special_closure(
     # target points
     diff_set = {ambient.add(x, ambient.neg(y)) for x in target for y in target}
     blocks: dict[frozenset, tuple[Vector, ModelSubvariety]] = {}
-    for B in all_summands(ambient, cap):
+    for B in summands_within(ambient, diff_set, cap):
         if B.order > len(target):
-            continue
-        if any(v not in diff_set for v in B.basis):
             continue
         sub = B.elements(cap)
         seen_reps = set()
@@ -566,9 +604,8 @@ def keyprop_witness(
     if not orbit <= V_set:
         raise ValidationError("precondition failed: the orbit of a is not inside V")
     best = None
-    for B in all_summands(ambient, cap):
-        if any(ambient.add(a, v) not in V_set for v in B.basis):
-            continue
+    shifted = {ambient.add(v, ambient.neg(a)) for v in V_set}
+    for B in summands_within(ambient, shifted, cap):
         block = _block_points(ambient, a, B, c, cap)
         if not block <= V_set:
             continue

@@ -10,8 +10,10 @@ integer comparisons; no floating point is involved anywhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
+from operator import and_, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 
@@ -28,12 +30,12 @@ Mat = tuple[Vec, ...]
 def _mat_mul(a: Mat, b: Mat, ell: int) -> Mat:
     bt = tuple(zip(*b))
     return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt) for row in a
+        tuple(sum(map(mul, row, col)) % ell for col in bt) for row in a
     )
 
 
 def _mat_vec(a: Mat, v: Vec, ell: int) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) % ell for row in a)
+    return tuple(sum(map(mul, row, v)) % ell for row in a)
 
 
 def _identity(n: int) -> Mat:
@@ -83,37 +85,45 @@ def _rref_mod(rows, ell: int) -> tuple[Vec, ...]:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F_ell^dim, canonicalized by its reduced echelon basis."""
+    """A subspace of F_ell^dim, canonicalized by its reduced echelon basis.
+
+    Membership is a lookup in the point set, built on first use and kept on
+    the instance; every entry of the cached ``all_subspaces`` lattice builds
+    it at most once.
+    """
 
     ell: int
     ambient_dim: int
     basis: Mat  # reduced row echelon, possibly empty
+    _points: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def points(self) -> frozenset[Vec]:
-        out = set()
-        for coeffs in itertools.product(range(self.ell), repeat=self.dim):
-            v = tuple(
-                sum(c * row[j] for c, row in zip(coeffs, self.basis)) % self.ell
-                for j in range(self.ambient_dim)
-            )
-            out.add(v)
-        return frozenset(out)
+        if self._points is None:
+            out = set()
+            for coeffs in itertools.product(range(self.ell), repeat=self.dim):
+                v = tuple(
+                    sum(c * row[j] for c, row in zip(coeffs, self.basis)) % self.ell
+                    for j in range(self.ambient_dim)
+                )
+                out.add(v)
+            object.__setattr__(self, "_points", frozenset(out))
+        return self._points
 
     def contains(self, v: Vec) -> bool:
-        w = list(v)
-        for row in self.basis:
-            piv = next(j for j, x in enumerate(row) if x)
-            if w[piv]:
-                f = w[piv]
-                w = [(x - f * y) % self.ell for x, y in zip(w, row)]
-        return all(x % self.ell == 0 for x in w)
+        """Whether v lies in the subspace; coordinates are taken mod ell."""
+        pts = self.points()
+        v = tuple(v)
+        return v in pts or tuple(x % self.ell for x in v) in pts
 
     def leq(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.basis)
+        pts = other.points()
+        return all(row in pts for row in self.basis)
 
 
 def subspace_from_vectors(vectors, ell: int, ambient_dim: int) -> Subspace:
@@ -122,15 +132,19 @@ def subspace_from_vectors(vectors, ell: int, ambient_dim: int) -> Subspace:
 
 
 def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}) -> list[Subspace]:
-    """Every subspace of F_ell^dim, by echelon enumeration (each exactly once)."""
-    key = (ell, dim)
-    if key in _cache:
-        return _cache[key]
+    """Every subspace of F_ell^dim, by echelon enumeration (each exactly once).
+
+    The cap is checked before the cache, so a smaller cap refuses a lattice
+    an earlier call built.
+    """
     if ell ** dim > cap:
         raise CapExceededError(
             "subspace lattice %d^%d exceeds cap %d" % (ell, dim, cap),
             required=ell ** dim,
         )
+    key = (ell, dim)
+    if key in _cache:
+        return _cache[key]
     out = [Subspace(ell, dim, ())]
     for r in range(1, dim + 1):
         for pivots in itertools.combinations(range(dim), r):
@@ -153,16 +167,33 @@ def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}
 
 @dataclass(frozen=True)
 class MatrixGroup:
-    """A subgroup of GL_dim(F_ell), fully materialized."""
+    """A subgroup of GL_dim(F_ell), fully materialized.
+
+    ``images(v)`` memoises the tuple of g*v over ``elements``, in that order,
+    for every reduced vector v asked about: orbits, stabilizers and the
+    witness search of one group share it.  The memo holds at most ell^dim
+    tuples of ``order`` vectors and lives as long as the group.
+    """
 
     ell: int
     dim: int
     generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
+    _images: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def order(self) -> int:
         return len(self.elements)
+
+    def images(self, v: Vec) -> tuple[Vec, ...]:
+        """(g*v for g in elements) for v with coordinates in [0, ell)."""
+        out = self._images.get(v)
+        if out is None:
+            out = tuple(_mat_vec(g, v, self.ell) for g in self.elements)
+            self._images[v] = out
+        return out
 
 
 def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> MatrixGroup:
@@ -172,7 +203,7 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
     is already the group (inverses arise as powers), so multiplying by
     generators suffices.
     """
-    if ell < 2 or any(ell % k == 0 for k in range(2, ell)):
+    if ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
         raise ValidationError("ell must be prime, got %r" % (ell,))
     if dim < 1:
         raise ValidationError("dim must be positive")
@@ -209,14 +240,13 @@ def orbit(G: MatrixGroup, a) -> frozenset[Vec]:
     a = tuple(int(x) % G.ell for x in a)
     if len(a) != G.dim:
         raise ValidationError("vector of wrong dimension")
-    return frozenset(_mat_vec(g, a, G.ell) for g in G.elements)
+    return frozenset(G.images(a))
 
 
 def epsilon(G: MatrixGroup, a, W: Subspace) -> Fraction:
     """Exact orbit density inside W: #(G.a intersect W) / #G.a."""
     orb = orbit(G, a)
-    hits = sum(1 for p in orb if W.contains(p))
-    return Fraction(hits, len(orb))
+    return Fraction(len(orb & W.points()), len(orb))
 
 
 def _density_key_cmp(n1: int, e1: int, n2: int, e2: int, den: int):
@@ -236,8 +266,8 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
     orb = orbit(G, a) if _orb is None else _orb
     den = len(orb)
     candidates = [W for W in all_subspaces(G.ell, G.dim) if W.leq(V)]
-    hits = {W: sum(1 for p in orb if W.contains(p)) for W in candidates}
-    if sum(1 for p in orb if V.contains(p)) == 0:
+    hits = {W: len(orb & W.points()) for W in candidates}
+    if not orb & V.points():
         raise ValidationError("orbit density in V is zero")
     best = None
     for W in candidates:
@@ -255,9 +285,7 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
         ):
             best = (W, n, e)
     W = best[0]
-    span = subspace_from_vectors(
-        [p for p in orb if W.contains(p)], G.ell, G.dim
-    )
+    span = subspace_from_vectors(list(orb & W.points()), G.ell, G.dim)
     if span.basis != W.basis:
         raise InternalCheckError("extremal subspace not generated by its orbit points")
     return W
@@ -265,12 +293,11 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
 
 def stabilizer(G: MatrixGroup, W: Subspace) -> tuple[Mat, ...]:
     """Elements with g*W = W, by the direct image test on the basis."""
-    out = []
-    for g in G.elements:
-        image = [_mat_vec(g, row, G.ell) for row in W.basis]
-        if all(W.contains(v) for v in image):
-            out.append(g)
-    return tuple(out)
+    inside = W.points().__contains__
+    keep = [True] * G.order
+    for row in W.basis:
+        keep = map(and_, keep, map(inside, G.images(row)))
+    return tuple(itertools.compress(G.elements, keep))
 
 
 @dataclass(frozen=True)
@@ -292,7 +319,8 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
     """Full report: extremal W, stabilizer index, the 3*C^(4^dim V) bound,
     and a witness g with Stab_G(W)*g*a inside W."""
     orb = orbit(G, a)
-    eps_v = Fraction(sum(1 for p in orb if V.contains(p)), len(orb))
+    a = tuple(int(x) % G.ell for x in a)
+    eps_v = Fraction(len(orb & V.points()), len(orb))
     if C is None:
         if eps_v == 0:
             raise ValidationError("orbit misses V; supply C explicitly or enlarge V")
@@ -305,7 +333,7 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
             "density precondition fails: eps(V) = %s < 1/C = %s" % (eps_v, 1 / C)
         )
     W = extremal_subspace(G, a, V, _orb=orb)
-    eps_w = Fraction(sum(1 for p in orb if W.contains(p)), len(orb))
+    eps_w = Fraction(len(orb & W.points()), len(orb))
     stab = stabilizer(G, W)
     index = len(G.elements) // len(stab)
     bound = 3 * C ** (4 ** V.dim)
@@ -314,13 +342,13 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
         raise InternalCheckError(
             "stabilizer index %d violates the bound %s" % (index, bound)
         )
-    witness = next(
-        (g for g in G.elements if W.contains(_mat_vec(g, tuple(a), G.ell))), None
+    in_w = W.points()
+    witness, ga = next(
+        ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
     )
     if witness is None:
         raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
     # the witness orbit H*g*a stays inside W because H stabilizes W; checked
-    ga = _mat_vec(witness, tuple(a), G.ell)
     for h in stab:
         if not W.contains(_mat_vec(h, ga, G.ell)):
             raise InternalCheckError("stabilizer orbit escaped W")

@@ -222,9 +222,15 @@ def _sample_d_with_omega(rng: random.Random, T: int, primes_pool) -> tuple[int, 
                 break
             chosen.add(p)
             d *= p ** power
-    while d < T:
-        d *= 2
-    return d, len(chosen)
+    return _double_up_to(d, T), len(chosen)
+
+
+def _double_up_to(d: int, T: int) -> int:
+    """The least d * 2^k >= T with k >= 0, by one shift and at most one doubling."""
+    shift = T.bit_length() - d.bit_length()
+    if shift > 0:
+        d <<= shift
+    return d if d >= T else d << 1
 
 
 def criterion_threshold_soundness(samples: int = 200, seed: int = 0, **_) -> CheckResult:

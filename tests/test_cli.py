@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -181,6 +182,76 @@ def test_group_cap_env_exit_2(tmp_path, capsys, monkeypatch):
     )
     assert code == 2
     assert err.startswith("error: cap-exceeded:")
+
+
+def test_lattice_cap_env_exit_2(tmp_path, capsys, monkeypatch):
+    # F_5^2 has 25 points: the lattice slot of ARITH_MM_CAPS refuses it
+    payload = {"ell": 5, "dim": 2, "generators": [[[2, 0], [0, 1]]],
+               "a": [1, 1], "V": [[1, 0], [0, 1]]}
+    path = tmp_path / "f52.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["gl-verify", "--input", str(path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(
+        ["gl-verify", "--input", str(path)], capsys, env_caps=",,10", monkeypatch=monkeypatch
+    )
+    assert code == 2
+    assert err.startswith("error: cap-exceeded: subspace lattice 5^2")
+    assert "(required 25)" in err
+
+
+def test_gl_verify_big_ell_fails_fast(tmp_path):
+    # refused by the lattice cap before the group is closed; a child process
+    # with a CPU limit turns a slow primality scan into a failure
+    import resource
+
+    path = tmp_path / "big-ell.json"
+    path.write_text(json.dumps({"ell": 1000000007, "dim": 1, "generators": [[[2]]],
+                                "a": [1], "V": [[1]]}))
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 3))
+
+    env = {k: v for k, v in os.environ.items() if k != "ARITH_MM_CAPS"}
+    proc = subprocess.run([sys.executable, "-m", "torsionlab", "gl-verify", "--input", str(path)],
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: subspace lattice 1000000007^1 exceeds cap 3125 "
+        "(required 1000000007)"
+    ]
+
+
+def test_gl_verify_huge_dim_refused_without_the_power(tmp_path, capsys):
+    path = tmp_path / "huge-dim.json"
+    path.write_text(json.dumps({"ell": 3, "dim": 10 ** 12, "generators": [],
+                                "a": [1], "V": [[1]]}))
+    code, out, err = run_cli(["gl-verify", "--input", str(path)], capsys)
+    assert code == 2
+    assert err.startswith("error: cap-exceeded:")
+
+
+@pytest.mark.parametrize("command", ["gl-verify", "idempotent-lift", "idempotent-lift-central"])
+@pytest.mark.parametrize("content", ['{"ell": 5, "dim": 1, "generators": [[[2]]', "[1, 2]", ""])
+def test_malformed_input_is_a_validation_error(tmp_path, capsys, command, content):
+    path = tmp_path / "bad.json"
+    path.write_text(content)
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
+@pytest.mark.parametrize("field, value", [("ell", "5"), ("ell", 5.0), ("dim", "1"),
+                                          ("dim", True), ("ell", None)])
+def test_gl_verify_non_integer_ell_dim(tmp_path, capsys, field, value):
+    payload = {"ell": 5, "dim": 1, "generators": [[[2]]], "a": [1], "V": [[1]]}
+    payload[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["gl-verify", "--input", str(path)], capsys)
+    assert code == 1
+    assert err.startswith("error: validation: %r must be an integer" % field)
 
 
 def test_output_byte_identical(capsys):

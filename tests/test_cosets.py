@@ -19,9 +19,10 @@ from torsionlab.cosets import (
     lang_orbit,
     multiply_coset,
     special_closure,
+    summands_within,
     torsion_count,
 )
-from torsionlab.errors import ValidationError
+from torsionlab.errors import CapExceededError, ValidationError
 
 
 def _summand(N, g, basis):
@@ -258,6 +259,57 @@ def test_enumerate_summands_distinct():
     for i in range(len(sets)):
         for j in range(i + 1, len(sets)):
             assert sets[i] != sets[j]
+
+
+def test_summand_cap_checked_before_cache():
+    amb = ModelAmbient(3, 1)
+    assert len(enumerate_summands(amb, 2)) == 1  # builds and caches the catalog
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_summands(amb, 2, cap=8)
+    assert exc.value.required == 9
+    with pytest.raises(CapExceededError):
+        list(summands_within(amb, {(1, 0), (0, 1)}, cap=8))
+    assert len(enumerate_summands(amb, 2, cap=9)) == 1
+
+
+# the finite-models benchmark ambients and the acceptance (c8) ambients
+INDEX_AMBIENTS = sorted({
+    (3, 1), (4, 1), (5, 1), (6, 1), (8, 1), (9, 1), (12, 1),
+    (2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (12, 2),
+})
+
+
+def _brute_force_within(amb, allowed):
+    return [B for B in all_summands(amb) if all(v in allowed for v in B.basis)]
+
+
+def _allowed_sets(amb, rng):
+    """Random point sets of several densities, and difference sets of a few
+    homothety orbits, the shape special_closure and keyprop_witness ask with."""
+    points = list(itertools.product(range(amb.N), repeat=amb.rank))
+    out = [set(), {amb.zero()}, set(points)]
+    for frac in (0.02, 0.2, 0.6, 0.95):
+        out.append(set(rng.sample(points, max(1, int(frac * len(points))))))
+    for _ in range(3):
+        target = set()
+        for _ in range(rng.randrange(1, 4)):
+            target |= lang_orbit(amb, rng.choice(points), rng.choice((1, 2, 3)))
+        a = rng.choice(sorted(target))
+        out.append({amb.add(v, amb.neg(a)) for v in target})
+        out.append({amb.add(x, amb.neg(y)) for x in target for y in target})
+    return out
+
+
+@pytest.mark.parametrize("N, g", INDEX_AMBIENTS)
+def test_summand_index_matches_brute_force(N, g):
+    import random
+
+    amb = ModelAmbient(N, g)
+    rng = random.Random(N * 10 + g)
+    for allowed in _allowed_sets(amb, rng):
+        got = sorted((len(B.basis), B.basis) for B in summands_within(amb, allowed))
+        want = sorted((len(B.basis), B.basis) for B in _brute_force_within(amb, allowed))
+        assert got == want
 
 
 # --- closure ---------------------------------------------------------------------

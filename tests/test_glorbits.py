@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,17 @@ def test_generate_group_rejects_nonprime():
         generate_group([[[1]]], 6, 1)
 
 
+@pytest.mark.parametrize("ell", [4, 25, 10007 ** 2, 10007 * 10009])
+def test_generate_group_rejects_prime_squares_and_products(ell):
+    # trial division stops at isqrt(ell), which must itself be tried
+    with pytest.raises(ValidationError):
+        generate_group([[[1]]], ell, 1)
+
+
+def test_generate_group_accepts_large_prime():
+    assert generate_group([[[1]]], 1000000007, 1).order == 1
+
+
 # --- orbits and densities --------------------------------------------------------
 
 
@@ -90,6 +102,51 @@ def test_all_subspaces_counts():
 def test_all_subspaces_cap():
     with pytest.raises(CapExceededError):
         all_subspaces(5, 6, cap=3125)
+
+
+def test_all_subspaces_cap_checked_before_cache():
+    assert len(all_subspaces(3, 2)) == 6  # builds and caches the lattice
+    with pytest.raises(CapExceededError) as exc:
+        all_subspaces(3, 2, cap=4)
+    assert exc.value.required == 9
+    assert len(all_subspaces(3, 2, cap=9)) == 6
+
+
+def test_subspace_contains_matches_elimination():
+    # the point-set lookup agrees with reducing v against the echelon basis,
+    # also for lists and for coordinates outside [0, ell)
+    def by_elimination(W, v):
+        w = list(v)
+        for row in W.basis:
+            piv = next(j for j, x in enumerate(row) if x)
+            f = w[piv]
+            w = [(x - f * y) % W.ell for x, y in zip(w, row)]
+        return all(x % W.ell == 0 for x in w)
+
+    for ell, dim in [(2, 3), (3, 2), (5, 2)]:
+        for W in all_subspaces(ell, dim):
+            for v in itertools.product(range(-1, ell + 1), repeat=dim):
+                assert W.contains(v) == W.contains(list(v)) == by_elimination(W, v)
+            assert W.points() == frozenset(
+                p for p in itertools.product(range(ell), repeat=dim) if by_elimination(W, p)
+            )
+
+
+def test_group_images_memo():
+    from torsionlab.glorbits import _mat_vec
+
+    G = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
+    H = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
+    for v in itertools.product(range(3), repeat=3):
+        images = G.images(v)
+        assert images == tuple(_mat_vec(g, v, 3) for g in G.elements)
+        assert G.images(v) is images
+    # the memo takes no part in equality or hashing
+    assert G == H and hash(G) == hash(H)
+    for W in all_subspaces(3, 3):
+        assert stabilizer(G, W) == tuple(
+            g for g in G.elements if all(W.contains(_mat_vec(g, r, 3)) for r in W.basis)
+        )
 
 
 # --- extremal subspace ------------------------------------------------------------
