@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .errors import InternalCheckError, ValidationError
 from . import linalg
-from .linalg import Matrix, frac_rows, rref, span_contains, span_intersect, span_leq
+from .linalg import Matrix, frac_rows, rref, span_intersect, span_leq
 
 
 @dataclass(frozen=True)
@@ -144,6 +144,21 @@ def _span_elements(alg: SplitSemisimpleAlgebra, elements) -> list:
     return base
 
 
+def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, zero, what: str):
+    """Raise unless the images of the basis matrix units multiply like them.
+
+    Matrix units multiply to matrix units (or zero), so the check is an
+    index lookup per basis pair: e_ij * e_jk = e_ik, other products vanish.
+    """
+    idxs = list(alg.basis_indices())
+    index = {t: k for k, t in enumerate(idxs)}
+    for a, (b1, i1, j1) in enumerate(idxs):
+        for c, (b2, i2, j2) in enumerate(idxs):
+            expected = images[index[(b1, i1, j2)]] if b1 == b2 and j1 == i2 else zero
+            if mul(images[a], images[c]) != expected:
+                raise ValidationError("%s is not multiplicative" % what)
+
+
 @dataclass(frozen=True)
 class AlgebraEmbedding:
     """An injective unit-preserving algebra map, given on the source basis."""
@@ -160,19 +175,8 @@ class AlgebraEmbedding:
                 raise ValidationError("embedding images live in the wrong algebra")
         if self.apply(self.source.one()) != self.target.one():
             raise ValidationError("embedding does not preserve the unit")
-        # matrix units multiply to matrix units (or zero), so the
-        # multiplicativity check is an index lookup per basis pair
-        index = {t: k for k, t in enumerate(self.source.basis_indices())}
         zero = self.target.zero()
-        idxs = list(self.source.basis_indices())
-        for a, (b1, i1, j1) in enumerate(idxs):
-            for c, (b2, i2, j2) in enumerate(idxs):
-                if b1 == b2 and j1 == i2:
-                    expected = self.images[index[(b1, i1, j2)]]
-                else:
-                    expected = zero
-                if self.images[a] * self.images[c] != expected:
-                    raise ValidationError("embedding is not multiplicative")
+        _check_matrix_units(self.source, self.images, AlgebraElement.__mul__, zero, "embedding")
         if linalg.rank([img.coords() for img in self.images]) != self.source.dim:
             raise ValidationError("embedding is not injective")
 
@@ -233,17 +237,8 @@ class Representation:
                 raise ValidationError("representation matrix of wrong shape")
         if self.apply(self.algebra.one()) != linalg.identity(self.space_dim):
             raise ValidationError("representation is not unital")
-        index = {t: k for k, t in enumerate(self.algebra.basis_indices())}
         zero = linalg.zeros(self.space_dim, self.space_dim)
-        idxs = list(self.algebra.basis_indices())
-        for a, (b1, i1, j1) in enumerate(idxs):
-            for c, (b2, i2, j2) in enumerate(idxs):
-                if b1 == b2 and j1 == i2:
-                    expected = self.images[index[(b1, i1, j2)]]
-                else:
-                    expected = zero
-                if linalg.mat_mul(self.images[a], self.images[c]) != expected:
-                    raise ValidationError("representation is not multiplicative")
+        _check_matrix_units(self.algebra, self.images, linalg.mat_mul, zero, "representation")
         stacked = [list(itertools.chain.from_iterable(m)) for m in self.images]
         if linalg.rank(stacked) != self.algebra.dim:
             raise ValidationError("representation is not faithful")
@@ -338,11 +333,9 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
     span = _span_elements(A, elems)
     alg_basis = A.basis()
     # verify the right-ideal property exactly
-    for vec in span:
-        x = A.from_coords(vec)
-        for unit in alg_basis:
-            if not span_contains(span, (x * unit).coords()):
-                raise ValidationError("ideal_basis does not span a right ideal")
+    products = ((x * unit).coords() for x in map(A.from_coords, span) for unit in alg_basis)
+    if not span_leq(products, span):
+        raise ValidationError("ideal_basis does not span a right ideal")
 
     def mult(u, v):
         return (A.from_coords(u) * A.from_coords(v)).coords()
@@ -441,7 +434,7 @@ def ideal_membership_mod_pi(
 
     basis = B.basis()
     ideal = _span_elements(B, [u * x for x in basis] + [pi * x for x in basis])
-    direct_answer = span_contains(ideal, b.coords())
+    direct_answer = span_leq([b.coords()], ideal)
 
     if rep_answer != direct_answer:
         raise InternalCheckError(
@@ -521,28 +514,22 @@ def lift_idempotent_central(
         k_in_m.append(pre)
     if k_in_m:
         k_span = _span_elements(M, k_in_m)
-        nk = len(k_span)
-        ncoord = M.dim
+        k_elems = [M.from_coords(vec) for vec in k_span]
+        # unknowns t_i; equations y*x = x and x*y = x for y = sum t_i k_i, per coordinate
         system_k = []
         rhs_k = []
-        for x in k_span:
-            xe = M.from_coords(x)
-            for vec_row, prod in (
-                ("left", lambda y: (y * xe).coords()),
-                ("right", lambda y: (xe * y).coords()),
-            ):
-                for k in range(ncoord):
-                    system_k.append(
-                        [prod(M.from_coords(k_span[i]))[k] for i in range(nk)]
-                    )
-                    rhs_k.append(x[k])
+        for x, xe in zip(k_span, k_elems):
+            for prods in ([(y * xe).coords() for y in k_elems],
+                          [(xe * y).coords() for y in k_elems]):
+                system_k.extend(zip(*prods))
+                rhs_k.extend(x)
         sol_k = linalg.solve(system_k, rhs_k)
         if sol_k is None:
             raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
         e = M.zero()
-        for t, vec in zip(sol_k, k_span):
+        for t, y in zip(sol_k, k_elems):
             if t:
-                e = e + M.from_coords(vec).scale(t)
+                e = e + y.scale(t)
     else:
         e = M.zero()
 

@@ -72,13 +72,24 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _rat(x) -> Fraction:
-    if isinstance(x, list):
-        if len(x) != 2:
-            raise ValidationError("rational entries are [num, den] pairs")
-        return Fraction(int(x[0]), int(x[1]))
-    if isinstance(x, (int, str)):
-        return Fraction(int(x))
+    if isinstance(x, list) and len(x) != 2:
+        raise ValidationError("rational entries are [num, den] pairs")
+    try:
+        if isinstance(x, list):
+            return Fraction(int(x[0]), int(x[1]))
+        if isinstance(x, (int, str)):
+            return Fraction(int(x))
+    except (TypeError, ValueError, ZeroDivisionError):
+        pass
     raise ValidationError("bad rational entry %r" % (x,))
+
+
+def _is_matrix(m) -> bool:
+    return isinstance(m, list) and all(isinstance(row, list) for row in m)
+
+
+def _rat_matrix(m) -> tuple:
+    return tuple(tuple(_rat(x) for x in row) for row in m)
 
 
 def _element_from_json(algebra: alg.SplitSemisimpleAlgebra, data) -> alg.AlgebraElement:
@@ -86,9 +97,9 @@ def _element_from_json(algebra: alg.SplitSemisimpleAlgebra, data) -> alg.Algebra
         raise ValidationError("element needs one matrix per block")
     mats = []
     for mat, n in zip(data, algebra.blocks):
-        if len(mat) != n or any(len(row) != n for row in mat):
+        if not _is_matrix(mat) or len(mat) != n or any(len(row) != n for row in mat):
             raise ValidationError("block matrix of wrong shape")
-        mats.append(tuple(tuple(_rat(x) for x in row) for row in mat))
+        mats.append(_rat_matrix(mat))
     return alg.AlgebraElement(algebra, tuple(mats))
 
 
@@ -116,6 +127,17 @@ def _int_field(data: dict, key: str) -> int:
     if type(value) is not int:
         raise ValidationError("%r must be an integer, got %r" % (key, value))
     return value
+
+
+def _int_array(data: dict, key: str, depth: int):
+    """data[key] as lists nested ``depth`` deep around plain integers."""
+
+    def ok(x, d):
+        return type(x) is int if d == 0 else isinstance(x, list) and all(ok(y, d - 1) for y in x)
+
+    if not ok(data[key], depth):
+        raise ValidationError("%r must be a list%s of integers" % (key, " of lists" * (depth - 1)))
+    return data[key]
 
 
 def _coset_to_json(tc: cst.TorsionCoset):
@@ -244,12 +266,15 @@ def _cmd_gl_verify(args, caps):
                 "subspace lattice %d^%d exceeds cap %d" % (ell, dim, lattice),
                 required=points,
             )
-    G = glo.generate_group(data["generators"], ell, dim, cap=caps["group"])
-    V = glo.subspace_from_vectors(
-        [tuple(int(x) % ell for x in row) for row in data["V"]], ell, dim
-    )
+    generators = _int_array(data, "generators", 3)
+    a = _int_array(data, "a", 1)
+    rows = _int_array(data, "V", 2)
+    if any(len(row) != dim for row in rows):
+        raise ValidationError("'V' rows must have %d coordinates" % dim)
+    G = glo.generate_group(generators, ell, dim, cap=caps["group"])
+    V = glo.subspace_from_vectors(rows, ell, dim)
     C = _rat(data["C"]) if "C" in data else None
-    rep = glo.verify_bound(G, tuple(data["a"]), V, C)
+    rep = glo.verify_bound(G, tuple(a), V, C)
     return {
         "ell": data["ell"],
         "dim": data["dim"],
@@ -274,16 +299,21 @@ def _algebra_inputs(data, need_pi=False):
     unknown = set(data) - set(required) - {"representation"}
     if unknown:
         raise ValidationError("unknown input fields: %s" % sorted(unknown))
-    M = alg.SplitSemisimpleAlgebra(tuple(data["M"]))
-    N = alg.SplitSemisimpleAlgebra(tuple(data["N"]))
+    M = alg.SplitSemisimpleAlgebra(tuple(_int_array(data, "M", 1)))
+    N = alg.SplitSemisimpleAlgebra(tuple(_int_array(data, "N", 1)))
+    if not isinstance(data["embedding"], list):
+        raise ValidationError("'embedding' must be a list of elements")
     images = tuple(_element_from_json(N, img) for img in data["embedding"])
     emb = alg.AlgebraEmbedding(M, N, images)
     if "representation" in data:
         rdata = data["representation"]
-        images_r = tuple(
-            tuple(tuple(_rat(x) for x in row) for row in m) for m in rdata["images"]
-        )
-        rep = alg.Representation(N, int(rdata["space_dim"]), images_r)
+        if (not isinstance(rdata, dict) or set(rdata) != {"images", "space_dim"}
+                or not isinstance(rdata["images"], list)
+                or not all(map(_is_matrix, rdata["images"]))):
+            raise ValidationError("'representation' must hold a list of matrices "
+                                  "'images' and 'space_dim', nothing else")
+        images_r = tuple(map(_rat_matrix, rdata["images"]))
+        rep = alg.Representation(N, _int_field(rdata, "space_dim"), images_r)
     else:
         rep = alg.standard_representation(N)
     u = _element_from_json(N, data["u"])

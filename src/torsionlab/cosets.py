@@ -16,7 +16,7 @@ from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
-from .linalg import smith_normal_form
+from .linalg import smith_normal_form, span_points
 
 #: subgroup/point enumeration refuses to touch ambient groups bigger than this
 AMBIENT_ORDER_CAP = 20736  # 12^4
@@ -142,16 +142,10 @@ class ModelSubvariety:
                 "subgroup order %d exceeds cap %d" % (self.order, cap),
                 required=self.order,
             )
-        amb = self.ambient
-        out = set()
-        for coeffs in itertools.product(range(amb.N), repeat=len(self.basis)):
-            acc = amb.zero()
-            for cf, vec in zip(coeffs, self.basis):
-                acc = amb.add(acc, amb.scale(cf, vec))
-            out.add(acc)
+        out = span_points(self.basis, self.ambient.N, self.ambient.rank)
         if len(out) != self.order:
             raise InternalCheckError("summand coefficient map is not injective")
-        return frozenset(out)
+        return out
 
     def same_subgroup(self, other: "ModelSubvariety") -> bool:
         if self.ambient != other.ambient or len(self.basis) != len(other.basis):

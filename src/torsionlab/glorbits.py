@@ -16,6 +16,7 @@ from math import isqrt
 from operator import and_, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
+from .linalg import rank, rref, span_points
 
 #: refuse subspace-lattice work when the ambient point count exceeds this
 SUBSPACE_LATTICE_CAP = 3125  # 5^5
@@ -42,47 +43,6 @@ def _identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def _is_invertible(m: Mat, ell: int) -> bool:
-    n = len(m)
-    a = [list(row) for row in m]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] % ell), None)
-        if piv is None:
-            return False
-        a[col], a[piv] = a[piv], a[col]
-        inv = pow(a[col][col], -1, ell)
-        a[col] = [x * inv % ell for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [(x - f * y) % ell for x, y in zip(a[r], a[col])]
-    return True
-
-
-def _rref_mod(rows, ell: int) -> tuple[Vec, ...]:
-    m = [list(r) for r in rows]
-    out = []
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] % ell), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = pow(m[r][c], -1, ell)
-        m[r] = [x * inv % ell for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] % ell:
-                f = m[i][c]
-                m[i] = [(x - f * y) % ell for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return tuple(tuple(x % ell for x in m[i]) for i in range(r))
-
-
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F_ell^dim, canonicalized by its reduced echelon basis.
@@ -105,14 +65,8 @@ class Subspace:
 
     def points(self) -> frozenset[Vec]:
         if self._points is None:
-            out = set()
-            for coeffs in itertools.product(range(self.ell), repeat=self.dim):
-                v = tuple(
-                    sum(c * row[j] for c, row in zip(coeffs, self.basis)) % self.ell
-                    for j in range(self.ambient_dim)
-                )
-                out.add(v)
-            object.__setattr__(self, "_points", frozenset(out))
+            pts = span_points(self.basis, self.ell, self.ambient_dim)
+            object.__setattr__(self, "_points", pts)
         return self._points
 
     def contains(self, v: Vec) -> bool:
@@ -127,8 +81,8 @@ class Subspace:
 
 
 def subspace_from_vectors(vectors, ell: int, ambient_dim: int) -> Subspace:
-    basis = _rref_mod([list(v) for v in vectors], ell) if vectors else ()
-    return Subspace(ell, ambient_dim, basis)
+    basis, _ = rref(vectors, ell)
+    return Subspace(ell, ambient_dim, tuple(map(tuple, basis)))
 
 
 def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}) -> list[Subspace]:
@@ -212,7 +166,7 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
         m = tuple(tuple(int(x) % ell for x in row) for row in gmat)
         if len(m) != dim or any(len(row) != dim for row in m):
             raise ValidationError("generator of wrong shape for dim %d" % dim)
-        if not _is_invertible(m, ell):
+        if rank(m, ell) != dim:
             raise ValidationError("singular generator %r mod %d" % (gmat, ell))
         norm.append(m)
     ident = _identity(dim)

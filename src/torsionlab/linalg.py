@@ -1,14 +1,17 @@
-"""Exact linear algebra helpers: rational elimination, integer Smith form, integer roots.
+"""Exact linear algebra helpers: elimination over Q and F_ell, spans mod n,
+integer Smith form, integer roots.
 
 Everything here is deterministic and exact.  Rational matrices are tuples of
-tuples of Fractions; integer matrices are lists of lists of ints.  No floating
-point anywhere.
+tuples of Fractions; integer and F_ell matrices are lists of lists of ints.
+No floating point anywhere.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
@@ -49,13 +52,30 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
 
-    Zero rows are dropped.  The result is the canonical basis of the row span,
-    so equal spans give identical output.
+    Over Q by default, with Fraction entries; with ``ell`` over F_ell, with
+    int entries reduced into [0, ell).  Zero rows are dropped.  The result is
+    the canonical basis of the row span, so equal spans give identical output.
     """
-    m = [list(map(Fraction, r)) for r in rows]
+    if ell is None:
+        m = [list(map(Fraction, r)) for r in rows]
+
+        def normalised(row, p):
+            return [x / p for x in row]
+
+        def reduced(row, f, prow):
+            return [x - f * y for x, y in zip(row, prow)]
+    else:
+        m = [[x % ell for x in r] for r in rows]
+
+        def normalised(row, p):
+            inv = pow(p, -1, ell)
+            return [x * inv % ell for x in row]
+
+        def reduced(row, f, prow):
+            return [(x - f * y) % ell for x, y in zip(row, prow)]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -66,32 +86,24 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
+        m[r] = normalised(m[r], m[r][c])
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = reduced(m[i], m[i][c], m[r])
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return [row for row in m[:r]], pivots
+    return m[:r], pivots
 
 
-def rank(rows) -> int:
-    return len(rref(rows)[1])
+def rank(rows, ell: int | None = None) -> int:
+    return len(rref(rows, ell)[1])
 
 
 def span_contains(basis, vec) -> bool:
     """True iff vec lies in the row span of basis (over the rationals)."""
-    base, pivots = rref(basis)
-    v = list(map(Fraction, vec))
-    for row, p in zip(base, pivots):
-        if v[p] != 0:
-            f = v[p]
-            v = [x - f * y for x, y in zip(v, row)]
-    return all(x == 0 for x in v)
+    return span_leq([vec], basis)
 
 
 def span_leq(sub, sup) -> bool:
@@ -106,6 +118,15 @@ def span_leq(sub, sup) -> bool:
         if any(x != 0 for x in v):
             return False
     return True
+
+
+def span_points(basis, n: int, dim: int) -> frozenset[tuple[int, ...]]:
+    """Every sum of c_i * basis[i] mod n with c_i in [0, n), as vectors of length dim."""
+    cols = list(zip(*basis)) or [()] * dim
+    return frozenset(
+        tuple([sum(map(mul, coeffs, col)) % n for col in cols])
+        for coeffs in itertools.product(range(n), repeat=len(basis))
+    )
 
 
 def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:

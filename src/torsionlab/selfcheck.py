@@ -31,6 +31,7 @@ from .integers import (
     rosser_upper,
     squarefree_quotient,
 )
+from .linalg import nullspace, rank, rref, span_leq
 
 
 @dataclass
@@ -269,7 +270,7 @@ def _random_gl_generators(rng, ell, dim, count):
             m = tuple(
                 tuple(rng.randrange(ell) for _ in range(dim)) for _ in range(dim)
             )
-            if glo._is_invertible(m, ell):
+            if rank(m, ell) == dim:
                 out.append(m)
                 break
     return out
@@ -349,22 +350,17 @@ def criterion_orbit_densities(min_groups: int = 200, seed: int = 0, **_) -> Chec
 
 def _random_invertible(rng, alg_obj):
     """Random invertible element with entries in [-3, 3], per block."""
-    from .linalg import rref
-
     data = []
     for n in alg_obj.blocks:
         while True:
             rows = [[Fraction(rng.randrange(-3, 4)) for _ in range(n)] for _ in range(n)]
-            base, piv = rref(rows)
-            if len(piv) == n:
+            if rank(rows) == n:
                 data.append(tuple(tuple(r) for r in rows))
                 break
     return alg.AlgebraElement(alg_obj, tuple(data))
 
 
 def _inverse(x: alg.AlgebraElement) -> alg.AlgebraElement:
-    from .linalg import rref
-
     data = []
     for mat, n in zip(x.data, x.parent.blocks):
         aug = [list(mat[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
@@ -422,8 +418,6 @@ def criterion_idempotent_chains(
     rng = random.Random(seed)
     violations = 0
     checked = 0
-
-    from .linalg import nullspace, span_leq
 
     for _ in range(lifts):
         M, N, emb, emb0, g, g_inv = _random_subalgebra_pair(rng)

@@ -50,12 +50,38 @@ def test_standard_representation_faithful_unital():
     )
 
 
+def scalars(*xs):
+    """1x1 rational matrices, one per value."""
+    return tuple(((Fraction(x),),) for x in xs)
+
+
 def test_representation_rejects_unfaithful():
     A = SplitSemisimpleAlgebra((1, 1))
-    # project both blocks onto one coordinate: kills (1, -1)
-    img = (((Fraction(1),),), ((Fraction(1),),))
-    with pytest.raises(ValidationError):
-        Representation(A, 1, img)
+    # e1 acts as 1, e2 as 0: unital and multiplicative, but e2 acts trivially
+    with pytest.raises(ValidationError, match="^representation is not faithful$"):
+        Representation(A, 1, scalars(1, 0))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((1, 1), "representation is not unital"),
+    ((2, -1), "representation is not multiplicative"),
+])
+def test_representation_rejection_branches(values, message):
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        Representation(SplitSemisimpleAlgebra((1, 1)), 1, scalars(*values))
+
+
+@pytest.mark.parametrize("values, message", [
+    ((1, 0), "embedding is not injective"),
+    ((1, 1), "embedding does not preserve the unit"),
+    ((2, -1), "embedding is not multiplicative"),
+])
+def test_embedding_rejection_branches(values, message):
+    # the two-block algebra Q x Q mapped into Q: e1 -> values[0], e2 -> values[1]
+    Q = SplitSemisimpleAlgebra((1,))
+    images = tuple(Q.from_coords([x]) for x in values)
+    with pytest.raises(ValidationError, match="^%s$" % message):
+        AlgebraEmbedding(SplitSemisimpleAlgebra((1, 1)), Q, images)
 
 
 # --- right ideal generator -------------------------------------------------------

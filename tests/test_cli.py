@@ -7,8 +7,12 @@ from importlib import resources
 import jsonschema
 import pytest
 
+import torsionlab
 from torsionlab.cli import main
 
+
+#: the directory holding the imported package, put first on a child's PYTHONPATH
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(torsionlab.__file__)))
 
 SCHEMA = json.loads(
     resources.files("torsionlab").joinpath("report.schema.json").read_text()
@@ -21,6 +25,14 @@ def run_cli(argv, capsys, env_caps=None, monkeypatch=None):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def child_env() -> dict:
+    """The environment of a ``python -m torsionlab`` child: no ARITH_MM_CAPS, and the
+    package under test importable without an outer PYTHONPATH."""
+    env = {k: v for k, v in os.environ.items() if k != "ARITH_MM_CAPS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    return env
 
 
 def validate(payload: str):
@@ -212,9 +224,9 @@ def test_gl_verify_big_ell_fails_fast(tmp_path):
     def limit():
         resource.setrlimit(resource.RLIMIT_CPU, (2, 3))
 
-    env = {k: v for k, v in os.environ.items() if k != "ARITH_MM_CAPS"}
     proc = subprocess.run([sys.executable, "-m", "torsionlab", "gl-verify", "--input", str(path)],
-                          capture_output=True, text=True, timeout=30, preexec_fn=limit, env=env)
+                          capture_output=True, text=True, timeout=30, preexec_fn=limit,
+                          env=child_env())
     assert proc.returncode == 2
     assert proc.stderr.splitlines() == [
         "error: cap-exceeded: subspace lattice 1000000007^1 exceeds cap 3125 "
@@ -254,6 +266,42 @@ def test_gl_verify_non_integer_ell_dim(tmp_path, capsys, field, value):
     assert err.startswith("error: validation: %r must be an integer" % field)
 
 
+GL_INSTANCE = {"ell": 5, "dim": 1, "generators": [[[2]]], "a": [1], "V": [[1]]}
+LIFT_INSTANCE = {"M": [1], "N": [2], "embedding": [[[[1, 0], [0, 1]]]],
+                 "u": [[[1, 0], [0, 0]]], "w": [[[0]]], "pi": [[[0, 0], [0, 0]]]}
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("gl-verify", "generators", "x"),
+    ("gl-verify", "generators", [[["2"]]]),
+    ("gl-verify", "a", ["q"]),
+    ("gl-verify", "V", 7),
+    ("gl-verify", "V", [[1, 0]]),
+    ("gl-verify", "C", "abc"),
+    ("gl-verify", "C", [1, 0]),
+    ("idempotent-lift", "M", "ab"),
+    ("idempotent-lift", "N", 3),
+    ("idempotent-lift", "embedding", 3),
+    ("idempotent-lift", "u", [5]),
+    ("idempotent-lift", "w", [[["x"]]]),
+    ("idempotent-lift", "representation", 3),
+    ("idempotent-lift", "representation", {"images": 1, "space_dim": 2}),
+    ("idempotent-lift", "representation", {"images": [], "space_dim": "2"}),
+    ("idempotent-lift-central", "pi", "x"),
+])
+def test_wrongly_typed_field_is_one_validation_line(tmp_path, capsys, command, field, value):
+    payload = dict(GL_INSTANCE if command == "gl-verify" else LIFT_INSTANCE)
+    if command == "idempotent-lift":
+        del payload["pi"]
+    payload[field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+
+
 def test_output_byte_identical(capsys):
     code1, out1, _ = run_cli(["delta-bound", "--D", "2", "--Delta", "2", "--c", "1"], capsys)
     code2, out2, _ = run_cli(["delta-bound", "--D", "2", "--Delta", "2", "--c", "1"], capsys)
@@ -275,6 +323,7 @@ def test_console_entrypoint_runs():
         [sys.executable, "-m", "torsionlab", "jacobsthal", "12"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"d": 12, "g": 4, "kanold": 4}

@@ -25,12 +25,14 @@ from torsionlab.linalg import (
     iroot,
     mat_mul,
     nullspace,
+    rank,
     rref,
     smith_normal_form,
     solve,
     span_contains,
     span_intersect,
     span_leq,
+    span_points,
 )
 
 
@@ -80,6 +82,53 @@ def test_rref_idempotent_and_span_stable(rows):
     assert base1 == base2 and piv1 == piv2
     for r in rows:
         assert span_contains(base1, r)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_rref_mod_ell_against_brute_force(data):
+    ell = data.draw(st.sampled_from((2, 3, 5, 7)))
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(1, 5))
+    row = st.lists(st.integers(-2 * ell, 2 * ell), min_size=ncols, max_size=ncols)
+    rows = data.draw(st.lists(row, min_size=nrows, max_size=nrows))
+    base, pivots = rref(rows, ell)
+    # reduced echelon form: unit pivots, zeros left of and around each pivot
+    assert pivots == sorted(set(pivots)) and len(base) == len(pivots)
+    assert all(0 <= x < ell for r in base for x in r)
+    for i, (r, p) in enumerate(zip(base, pivots)):
+        assert r[p] == 1 and not any(r[:p])
+        assert all(other[p] == 0 for k, other in enumerate(base) if k != i)
+    # the basis spans exactly the combinations of the input rows
+    combos = {
+        tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) % ell for j in range(ncols))
+        for coeffs in itertools.product(range(ell), repeat=nrows)
+    }
+    assert span_points(base, ell, ncols) == combos
+    assert len(combos) == ell ** len(base)
+
+
+def _leibniz_det(m):
+    n = len(m)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = (-1) ** inversions
+        for i in range(n):
+            term *= m[i][perm[i]]
+        total += term
+    return total
+
+
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(1, 3).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+)
+def test_rank_mod_ell_detects_invertibility(ell, m):
+    assert (rank(m, ell) == len(m)) == (_leibniz_det(m) % ell != 0)
 
 
 @given(
