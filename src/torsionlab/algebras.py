@@ -19,6 +19,11 @@ from .errors import InternalCheckError, ValidationError
 from . import linalg
 from .linalg import Matrix, frac_rows, rref, span_intersect, span_leq
 
+#: the command line refuses algebras of larger dimension: the matrix-unit
+#: checks multiply dim^2 pairs of dense rational matrices.  Every acceptance
+#: pair (dim N <= 14) and benchmark pair (dim N <= 11) fits.
+ALGEBRA_DIM_CAP = 16
+
 
 @dataclass(frozen=True)
 class SplitSemisimpleAlgebra:

@@ -200,7 +200,7 @@ def _cmd_sigma_set(args, caps):
 def _cmd_lang_orbit(args, caps):
     amb = cst.ModelAmbient(args.N, args.g)
     pt = amb.reduce(_parse_vec(args.point))
-    orbit = sorted(cst.lang_orbit(amb, pt, args.c))
+    orbit = sorted(cst.lang_orbit(amb, pt, args.c, cap=caps["ambient"]))
     return {
         "N": args.N,
         "g": args.g,
@@ -218,7 +218,7 @@ def _cmd_special_closure(args, caps):
     total = set()
     for comp in comps:
         sub = comp.subgroup.elements(caps["ambient"])
-        for o in cst.lang_orbit(amb, comp.point, args.c):
+        for o in cst.lang_orbit(amb, comp.point, args.c, cap=caps["ambient"]):
             for b in sub:
                 total.add(amb.add(o, b))
     return {
@@ -301,6 +301,12 @@ def _algebra_inputs(data, need_pi=False):
         raise ValidationError("unknown input fields: %s" % sorted(unknown))
     M = alg.SplitSemisimpleAlgebra(tuple(_int_array(data, "M", 1)))
     N = alg.SplitSemisimpleAlgebra(tuple(_int_array(data, "N", 1)))
+    for algebra in (M, N):
+        if algebra.dim > alg.ALGEBRA_DIM_CAP:
+            raise CapExceededError(
+                "algebra of dimension %d exceeds cap %d" % (algebra.dim, alg.ALGEBRA_DIM_CAP),
+                required=algebra.dim,
+            )
     if not isinstance(data["embedding"], list):
         raise ValidationError("'embedding' must be a list of elements")
     images = tuple(_element_from_json(N, img) for img in data["embedding"])

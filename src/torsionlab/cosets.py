@@ -82,10 +82,16 @@ class ModelAmbient:
 class ModelSubvariety:
     """A direct summand of the ambient group isomorphic to (Z/N)^(2b).
 
-    The defining test: the integer Smith normal form of the basis matrix has
-    all its elementary divisors coprime to N, which is equivalent to the rows
-    generating a free rank-2b summand.  The SNF's column transform doubles as
-    the membership solver.
+    There are two ways in.  The public constructor validates: it reduces the
+    basis and requires every elementary divisor of the basis matrix's integer
+    Smith normal form to be coprime to N, which is equivalent to the rows
+    generating a free rank-2b summand.  The summand catalog builds through
+    ``_from_catalog``, which trusts its canonical bases and checks them
+    mod p instead: for each prime p | N the rows reduced mod p are the
+    identity on the pivot columns of that prime's echelon basis, so their rank
+    mod p is 2b; that holds for every p | N exactly when every elementary
+    divisor is prime to N.  On either path the SNF column transform that
+    answers ``contains`` is built on the first membership query and kept.
     """
 
     ambient: ModelAmbient
@@ -101,17 +107,33 @@ class ModelSubvariety:
         if len(basis) > amb.rank:
             raise ValidationError("basis larger than ambient rank")
         if basis:
-            mat = [list(v) for v in basis]
-            d, _, v = smith_normal_form(mat)
+            d = smith_normal_form([list(row) for row in basis])[0]
             divisors = [d[i][i] for i in range(len(basis))]
             if any(gcd(x, amb.N) != 1 for x in divisors):
                 raise ValidationError(
                     "basis does not span a free direct summand mod %d "
                     "(elementary divisors %s)" % (amb.N, divisors)
                 )
-            object.__setattr__(
-                self, "_colmap", tuple(tuple(row) for row in v)
-            )
+
+    @classmethod
+    def _from_catalog(cls, ambient: ModelAmbient, basis, pivots) -> "ModelSubvariety":
+        """A catalog summand, trusted to be reduced mod N and of even rank at
+        most 2g.  Freeness is still checked: for each (p, columns) in
+        ``pivots``, one pair per prime p | N, the basis reduced mod p must be
+        the identity on those columns."""
+        for p, cols in pivots:
+            if any(
+                row[j] % p != (i == k)
+                for i, row in enumerate(basis)
+                for k, j in enumerate(cols)
+            ):
+                raise InternalCheckError(
+                    "catalog basis %s is not free mod %d" % (basis, p)
+                )
+        self = object.__new__(cls)
+        object.__setattr__(self, "ambient", ambient)
+        object.__setattr__(self, "basis", basis)
+        return self
 
     @property
     def dim(self) -> int:
@@ -129,6 +151,9 @@ class ModelSubvariety:
         if not self.basis:
             return all(c == 0 for c in x)
         v = self._colmap
+        if not v:
+            v = tuple(map(tuple, smith_normal_form([list(r) for r in self.basis])[2]))
+            object.__setattr__(self, "_colmap", v)
         n = amb.rank
         r = len(self.basis)
         for j in range(r, n):
@@ -201,14 +226,23 @@ def coset_order(coset: TorsionCoset) -> int:
     return coset_order_raw(coset.point, coset.subgroup)
 
 
-def lang_orbit(ambient: ModelAmbient, a, c: int) -> frozenset[Vector]:
-    """{ l^c * a : l a unit mod ord(a) }: the homothety-power orbit of a."""
+def lang_orbit(
+    ambient: ModelAmbient, a, c: int, cap: int = AMBIENT_ORDER_CAP
+) -> frozenset[Vector]:
+    """{ l^c * a : l a unit mod ord(a) }: the homothety-power orbit of a.
+
+    The scan runs over the residues mod d = ord(a); d above ``cap`` is refused
+    before it starts."""
     if c < 1:
         raise ValidationError("lang_orbit requires c >= 1")
     a = ambient.reduce(a)
     d = ambient.element_order(a)
     if d == 1:
         return frozenset([a])
+    if d > cap:
+        raise CapExceededError(
+            "orbit scan over the units mod %d exceeds cap %d" % (d, cap), required=d
+        )
     powers = {pow(l, c, d) for l in range(1, d) if gcd(l, d) == 1}
     return frozenset(ambient.scale(s, a) for s in powers)
 
@@ -326,7 +360,8 @@ def hindry_criterion(V: list[TorsionCoset], q: int, q_prime: int) -> HindryRepor
 
 
 def _free_summand_bases_prime_power(q: int, p: int, n: int, r: int):
-    """Canonical bases of the free rank-r direct summands of (Z/q)^n, q = p^e.
+    """Canonical bases of the free rank-r direct summands of (Z/q)^n, q = p^e,
+    each yielded with its pivot columns.
 
     Echelon shape: pivot columns carry the identity; a non-pivot entry right
     of its row's pivot ranges over Z/q, one left of it over p*Z/q (its mod-p
@@ -335,7 +370,7 @@ def _free_summand_bases_prime_power(q: int, p: int, n: int, r: int):
     the Gaussian binomial times p^((e-1) r (n-r)).
     """
     if r == 0:
-        yield ()
+        yield (), ()
         return
     for pivots in itertools.combinations(range(n), r):
         free_slots = []
@@ -353,27 +388,7 @@ def _free_summand_bases_prime_power(q: int, p: int, n: int, r: int):
                 rows[i][pivots[i]] = 1
             for (i, j, _), val in zip(free_slots, values):
                 rows[i][j] = val
-            yield tuple(tuple(row) for row in rows)
-
-
-def _crt_combine(ambient: ModelAmbient, parts, moduli) -> tuple[Vector, ...]:
-    rank = len(parts[0])
-    n = ambient.rank
-    out = []
-    for i in range(rank):
-        vec = []
-        for j in range(n):
-            residues = [part[i][j] for part in parts]
-            x = 0
-            m = 1
-            for res, mod in zip(residues, moduli):
-                # incremental CRT
-                t = (res - x) * pow(m, -1, mod) % mod
-                x += m * t
-                m *= mod
-            vec.append(x % ambient.N)
-        out.append(tuple(vec))
-    return tuple(out)
+            yield pivots, tuple(tuple(row) for row in rows)
 
 
 #: (N, g, rank) -> (catalog, index); built by _catalog, read through
@@ -396,17 +411,27 @@ def _catalog(ambient: ModelAmbient, rank: int, cap: int):
     if rank == 0:
         result.append(ModelSubvariety(ambient, tuple()))
     elif fact:  # N = 1 is the trivial group: no summand of positive rank
+        # per prime power q: (p, pivots) and the canonical bases scaled by the
+        # CRT idempotent e_q (1 mod q, 0 mod the other prime powers of N), so
+        # that a combined basis is the elementwise sum mod N
+        N = ambient.N
         per_prime = []
-        moduli = []
         for p, e in fact:
             q = p ** e
-            per_prime.append(
-                list(_free_summand_bases_prime_power(q, p, ambient.rank, rank))
-            )
-            moduli.append(q)
-        for combo in itertools.product(*per_prime):
-            basis = _crt_combine(ambient, combo, moduli)
-            result.append(ModelSubvariety(ambient, basis))
+            e_q = N // q * pow(N // q, -1, q) % N
+            per_prime.append([
+                ((p, pivots), tuple(tuple(e_q * x for x in row) for row in basis))
+                for pivots, basis in _free_summand_bases_prime_power(q, p, ambient.rank, rank)
+            ])
+        for parts in itertools.product(*per_prime):
+            pivots, bases = zip(*parts)
+            if len(bases) == 1:  # N = q, e_q = 1: nothing to combine
+                basis = bases[0]
+            else:
+                basis = tuple(
+                    tuple([sum(xs) % N for xs in zip(*rows)]) for rows in zip(*bases)
+                )
+            result.append(ModelSubvariety._from_catalog(ambient, basis, pivots))
     index: dict[Vector, list[ModelSubvariety]] = {}
     for B in result:
         index.setdefault(B.basis[0] if B.basis else (), []).append(B)
@@ -464,7 +489,7 @@ def _block_points(
     ambient: ModelAmbient, alpha: Vector, B: ModelSubvariety, c: int, cap: int
 ) -> frozenset[Vector]:
     """Point set of the homothety-stable union over the orbit of alpha."""
-    orbit = lang_orbit(ambient, alpha, c)
+    orbit = lang_orbit(ambient, alpha, c, cap)
     sub = B.elements(cap)
     return frozenset(
         ambient.add(o, b) for o in orbit for b in sub
@@ -494,7 +519,7 @@ def special_closure(
     for s in pts:
         if s in covered:
             continue
-        orb = lang_orbit(ambient, s, c)
+        orb = lang_orbit(ambient, s, c, cap)
         covered |= orb
         atoms.append(frozenset(orb))
     target = frozenset(covered)
@@ -594,7 +619,7 @@ def keyprop_witness(
     """
     V_set = {ambient.reduce(v) for v in V}
     a = ambient.reduce(a)
-    orbit = lang_orbit(ambient, a, c)
+    orbit = lang_orbit(ambient, a, c, cap)
     if not orbit <= V_set:
         raise ValidationError("precondition failed: the orbit of a is not inside V")
     best = None

@@ -3,14 +3,15 @@ integer Smith form, integer roots.
 
 Everything here is deterministic and exact.  Rational matrices are tuples of
 tuples of Fractions; integer and F_ell matrices are lists of lists of ints.
-No floating point anywhere.
+No floating point decides a result: ``iroot`` only seeds its exact
+iteration with a float estimate.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, log2
 from operator import mul
 
 Row = tuple[Fraction, ...]
@@ -271,14 +272,27 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 
 
 def iroot(n: int, k: int) -> int:
-    """Floor of the k-th root of a non-negative integer, exactly."""
+    """Floor of the k-th root of a non-negative integer, exactly.
+
+    Newton's iteration starts just above the root, from a float estimate of
+    log2(n)/k read off the top 64 bits of n and nudged upward by 2^-20
+    relative (far more than the estimate's error), so it decreases to the
+    root quadratically; exact steps in both directions then fix the result
+    whatever the estimate was.
+    """
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
     if n == 0:
         return 0
     if k == 1:
         return n
-    x = 1 << ((n.bit_length() + k - 1) // k + 1)
+    if n.bit_length() <= k:  # 1 <= n < 2^k
+        return 1
+    shift = max(n.bit_length() - 64, 0)
+    e = (log2(n >> shift) + shift) / k
+    whole = int(e)
+    top = int(2.0 ** (e - whole) * (1 + 2.0 ** -20) * (1 << 53)) + 1  # > 2^(e - whole + 53)
+    x = top << (whole - 53) if whole >= 53 else (top >> (53 - whole)) + 1
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
@@ -286,6 +300,8 @@ def iroot(n: int, k: int) -> int:
         x = y
     while x ** k > n:
         x -= 1
+    while (x + 1) ** k <= n:
+        x += 1
     return x
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -184,6 +185,16 @@ def test_closed_form_examples():
     t = closed_form_threshold(P(2, 2, 1))
     assert t == 64 * 58 ** 58 or t > 10 ** 100  # dominated by the first term
     assert t >= 64 * 58 ** 58
+
+
+def test_closed_form_threshold_with_a_large_root():
+    # a 1195-th root of a number of about 500k bits inside; the digest pins
+    # the value an unseeded Newton iteration computed in about 30 s
+    t = closed_form_threshold(P(2, 3, 3))
+    assert t.bit_length() == 12336
+    assert hashlib.sha256(b"%x" % t).hexdigest() == (
+        "2db1bfa1d657b7a709ef1a115b7cf7ccfb6526baa9cdae80a5b20a31ba9ff378"
+    )
 
 
 def test_final_delta_soundness_small():

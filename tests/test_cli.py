@@ -234,6 +234,59 @@ def test_gl_verify_big_ell_fails_fast(tmp_path):
     ]
 
 
+def _limited_child(argv):
+    """``python -m torsionlab argv`` under a 2 CPU-second and 512 MiB limit,
+    so that a missing cap fails the test instead of exhausting the host."""
+    import resource
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_CPU, (2, 3))
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+
+    return subprocess.run([sys.executable, "-m", "torsionlab"] + argv, capture_output=True,
+                          text=True, timeout=30, preexec_fn=limit, env=child_env())
+
+
+def test_lang_orbit_of_huge_order_fails_fast():
+    proc = _limited_child(["lang-orbit", "--N", "1000000007", "--g", "1", "--point", "1,0",
+                           "--c", "1"])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: orbit scan over the units mod 1000000007 exceeds cap 20736 "
+        "(required 1000000007)"
+    ]
+
+
+def _unit(blocks, bi, i, j):
+    return [[[int((k, a, b) == (bi, i, j)) for b in range(n)] for a in range(n)]
+            for k, n in enumerate(blocks)]
+
+
+@pytest.mark.parametrize("m_blocks, n_blocks", [
+    ([12], [12]),  # the identity embedding of M_12, a 67 kB input
+    ([1], [1] * 17),  # dimension 17: one over the cap
+])
+def test_algebras_beyond_the_cap_fail_fast(tmp_path, m_blocks, n_blocks):
+    from torsionlab.algebras import ALGEBRA_DIM_CAP
+
+    required = sum(n * n for n in n_blocks)
+    assert required > ALGEBRA_DIM_CAP
+    if m_blocks == n_blocks:
+        embedding = [_unit(m_blocks, bi, i, j) for bi, n in enumerate(m_blocks)
+                     for i in range(n) for j in range(n)]
+    else:
+        embedding = [[_unit(n_blocks, k, 0, 0)[k] for k in range(len(n_blocks))]]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"M": m_blocks, "N": n_blocks, "embedding": embedding,
+                                "u": _unit(n_blocks, 0, 0, 0), "w": _unit(m_blocks, 0, 0, 0)}))
+    proc = _limited_child(["idempotent-lift", "--input", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: algebra of dimension %d exceeds cap %d (required %d)"
+        % (required, ALGEBRA_DIM_CAP, required)
+    ]
+
+
 def test_gl_verify_huge_dim_refused_without_the_power(tmp_path, capsys):
     path = tmp_path / "huge-dim.json"
     path.write_text(json.dumps({"ell": 3, "dim": 10 ** 12, "generators": [],

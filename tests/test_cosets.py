@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import torsionlab.cosets as cst
 from torsionlab.cosets import (
     ModelAmbient,
     ModelSubvariety,
@@ -22,7 +23,8 @@ from torsionlab.cosets import (
     summands_within,
     torsion_count,
 )
-from torsionlab.errors import CapExceededError, ValidationError
+from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
+from torsionlab.integers import factorize
 
 
 def _summand(N, g, basis):
@@ -97,6 +99,18 @@ def test_lang_orbit_cardinality_every_order_up_to_100():
         for c in (1, 2, 3, 6):
             kern = sum(1 for l in units if pow(l, c, d) == 1 % d)
             assert len(lang_orbit(amb, a, c)) == len(units) // kern
+
+
+def test_lang_orbit_refuses_an_order_beyond_the_cap():
+    amb = ModelAmbient(20737, 1)  # one above AMBIENT_ORDER_CAP
+    with pytest.raises(CapExceededError) as exc:
+        lang_orbit(amb, (1, 0), 1)
+    assert exc.value.required == 20737
+    # the cap bounds ord(a), not N: a point of small order still answers
+    assert lang_orbit(amb, (0, 0), 1) == {(0, 0)}
+    with pytest.raises(CapExceededError):
+        lang_orbit(ModelAmbient(13, 1), (1, 0), 1, cap=12)
+    assert len(lang_orbit(ModelAmbient(13, 1), (1, 0), 1, cap=13)) == 12
 
 
 # --- coset order and multiplication ------------------------------------------
@@ -426,3 +440,136 @@ def test_keyprop_witness_precondition():
     amb = ModelAmbient(5, 1)
     with pytest.raises(ValidationError):
         keyprop_witness(amb, {(1, 0)}, (1, 0), 1, delta_cap=5)
+
+
+# --- the trusted catalog path ------------------------------------------------------
+
+# the finite-models benchmark ambients, and a few more N (prime, prime square,
+# two primes) at g = 1, 2
+MODEL_AMBIENTS = [(3, 1), (4, 1), (6, 1), (12, 1), (3, 2), (4, 2), (6, 2), (8, 2), (12, 2)]
+EXTRA_AMBIENTS = [(N, g) for N in (2, 5, 9, 10) for g in (1, 2)]
+
+
+def _gaussian_binomial(n, r, p):
+    num = den = 1
+    for i in range(r):
+        num *= p ** (n - i) - 1
+        den *= p ** (i + 1) - 1
+    return num // den
+
+
+def _catalog_size(N, n, r):
+    """Free rank-r summands of (Z/N)^n: prod over p^e || N of [n r]_p p^((e-1) r (n-r))."""
+    out = 1
+    for p, e in factorize(N).factors:
+        out *= _gaussian_binomial(n, r, p) * p ** ((e - 1) * r * (n - r))
+    return out
+
+
+@pytest.mark.parametrize("N, g", MODEL_AMBIENTS + EXTRA_AMBIENTS)
+def test_catalog_sizes_match_closed_form(N, g):
+    amb = ModelAmbient(N, g)
+    for rank in range(0, amb.rank + 1, 2):
+        assert len(enumerate_summands(amb, rank)) == _catalog_size(N, amb.rank, rank)
+
+
+@pytest.mark.parametrize("N, g", [(6, 1), (12, 1), (6, 2), (12, 2), (10, 2)])
+def test_catalog_is_the_crt_product_of_the_per_prime_catalogs(N, g):
+    """Catalog contents and order against residue-by-residue CRT of the
+    per-prime canonical bases, looked up in a table of [0, N)."""
+    amb = ModelAmbient(N, g)
+    moduli = [p ** e for p, e in factorize(N).factors]
+    crt = {tuple(x % q for q in moduli): x for x in range(N)}
+    per_prime = [[basis for _, basis in cst._free_summand_bases_prime_power(q, p, amb.rank, 2)]
+                 for (p, _), q in zip(factorize(N).factors, moduli)]
+    want = [
+        tuple(tuple(crt[residues] for residues in zip(*rows)) for rows in zip(*parts))
+        for parts in itertools.product(*per_prime)
+    ]
+    assert [B.basis for B in enumerate_summands(amb, 2)] == want
+
+
+def _check_against_public_path(amb, summands, sample):
+    """Each summand equals the one the public constructor validates, and its
+    membership test agrees with its point set on ``sample(elements)``."""
+    for B in summands:
+        public = ModelSubvariety(amb, B.basis)  # full SNF validation
+        assert public.basis == B.basis and public == B
+        elems = B.elements()
+        assert all(B.contains(x) == (x in elems) for x in sample(elems))
+
+
+@pytest.mark.parametrize("N, g", sorted(
+    (N, g) for N, g in set(MODEL_AMBIENTS + EXTRA_AMBIENTS) if N ** (2 * g) <= 4096))
+def test_catalog_summands_pass_the_public_constructor(N, g):
+    """Membership is compared on every point up to order 625; on (Z/6)^4 and
+    (Z/8)^4 (4 552 and 8 962 summands) on 16 seeded members and 16 seeded
+    points of the ambient per summand, which keeps the test to seconds."""
+    import random
+
+    amb = ModelAmbient(N, g)
+    points = list(itertools.product(range(N), repeat=amb.rank))
+    rng = random.Random(N * 10 + g)
+
+    def sample(elems):
+        if len(points) <= 625:
+            return points
+        return rng.sample(sorted(elems), min(16, len(elems))) + rng.sample(points, 16)
+
+    _check_against_public_path(amb, all_summands(amb), sample)
+
+
+def test_catalog_sample_of_12_2_passes_the_public_constructor():
+    import random
+
+    rng = random.Random(12)
+    amb = ModelAmbient(12, 2)
+    points = rng.sample(list(itertools.product(range(12), repeat=4)), 200)
+    _check_against_public_path(
+        amb, rng.sample(list(all_summands(amb)), 2000), lambda elems: points
+    )
+
+
+def test_catalog_build_runs_no_smith_normal_form(monkeypatch):
+    calls = []
+    real = cst.smith_normal_form
+
+    def counting(mat):
+        calls.append(mat)
+        return real(mat)
+
+    monkeypatch.setattr(cst, "smith_normal_form", counting)
+    monkeypatch.setattr(cst, "_CATALOGS", {})
+    for N, g in ((12, 2), (8, 2), (5, 1)):
+        list(all_summands(ModelAmbient(N, g)))
+    assert calls == []
+    # the membership transform is built on the first query and kept
+    B = enumerate_summands(ModelAmbient(12, 2), 2)[-1]
+    assert B.contains(B.basis[0]) and B.contains((0, 0, 0, 0))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("N", [4, 12])
+def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N):
+    real = cst._free_summand_bases_prime_power
+
+    def corrupted(q, p, n, r):
+        for i, (pivots, basis) in enumerate(real(q, p, n, r)):
+            if i == 7 and p == 2:
+                rows = [list(row) for row in basis]
+                rows[0][pivots[0]] = p  # the pivot vanishes mod p
+                basis = tuple(map(tuple, rows))
+            yield pivots, basis
+
+    monkeypatch.setattr(cst, "_free_summand_bases_prime_power", corrupted)
+    monkeypatch.setattr(cst, "_CATALOGS", {})
+    with pytest.raises(InternalCheckError, match="not free mod 2"):
+        enumerate_summands(ModelAmbient(N, 2), 2)
+
+
+def test_trusted_constructor_rejects_a_non_summand():
+    amb = ModelAmbient(4, 1)
+    with pytest.raises(InternalCheckError):
+        ModelSubvariety._from_catalog(amb, ((1, 0), (0, 2)), [(2, (0, 1))])
+    B = ModelSubvariety._from_catalog(amb, ((1, 0), (2, 1)), [(2, (0, 1))])
+    assert B == ModelSubvariety(amb, ((1, 0), (2, 1)))

@@ -45,6 +45,33 @@ def test_iroot_is_floor_root(n, k):
     assert r ** k <= n < (r + 1) ** k
 
 
+def _iroot_by_bisection(n, k):
+    lo, hi = 0, 1 << (n.bit_length() // k + 1)  # hi ** k > n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# n < 2^(64 k) keeps the bisection under 65 steps; n reaches 2^20000 for k >= 313
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 2000).flatmap(
+    lambda k: st.tuples(st.integers(0, 2 ** min(20000, 64 * k)), st.just(k))))
+def test_iroot_matches_bisection(nk):
+    n, k = nk
+    assert iroot(n, k) == _iroot_by_bisection(n, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 7, 61, 1195])
+def test_iroot_at_exact_powers(k):
+    for r in (2, 3, 10 ** 6 + 3, (1 << 64) + 1):
+        for n in (r ** k - 1, r ** k, r ** k + 1):
+            assert iroot(n, k) == _iroot_by_bisection(n, k)
+
+
 @given(st.integers(0, 10 ** 24), st.integers(1, 10))
 def test_ceil_root(n, k):
     r = ceil_root(n, k)
