@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import FactoredInteger, factorize, jacobsthal, nth_prime
 from .linalg import ceil_root, ceil_root_fraction, lcm
 
@@ -45,6 +45,24 @@ TAIL_K_CAP = 10 ** 5
 #: certified thresholds larger than this many bits are refused
 THRESHOLD_BIT_BUDGET = 2 ** 21
 
+#: violation regions up to this are scanned exhaustively (minimal threshold)
+THRESHOLD_SCAN_CAP = 10 ** 6
+
+#: alpha * omega^beta dominates the Kanold bound 2^omega up to the range
+POWER_FORM_ALPHA = 2
+POWER_FORM_BETA = 8
+POWER_FORM_OMEGA_RANGE = 40
+
+
+def _check_power_form(alpha: int, beta: int, omega_range: int) -> None:
+    """Exact proof that alpha * w^beta >= 2^w for 1 <= w <= omega_range."""
+    for w in range(1, omega_range + 1):
+        if alpha * w ** beta < 2 ** w:
+            raise InternalCheckError("alpha*omega^beta fails to dominate 2^omega at omega=%d" % w)
+
+
+_check_power_form(POWER_FORM_ALPHA, POWER_FORM_BETA, POWER_FORM_OMEGA_RANGE)
+
 
 @dataclass(frozen=True)
 class BoundParams:
@@ -53,8 +71,8 @@ class BoundParams:
     D: degree of the subvariety; Delta: its dimension; c: homothety-power
     exponent; d: order of the torsion coset; p: residue characteristic
     (0 for characteristic zero); eps_slack: the epsilon absorbed into the
-    exponent constants (1/2 always suffices); alpha/beta: a power-form pair
-    dominating the Kanold bound, alpha * w^beta >= 2^w on 1..omega_range.
+    exponent constants (1/2 always suffices); linear_x: use the linear
+    variant of x.
     """
 
     D: int
@@ -63,9 +81,6 @@ class BoundParams:
     d: int = 1
     p: int = 0
     eps_slack: Fraction = Fraction(1, 2)
-    alpha: Fraction = Fraction(2)
-    beta: Fraction = Fraction(8)
-    omega_range: int = 40
     linear_x: bool = False
 
     def __post_init__(self):
@@ -80,21 +95,8 @@ class BoundParams:
                     "p must be 0 or a prime (a residue characteristic), got %d" % self.p
                 )
         object.__setattr__(self, "eps_slack", Fraction(self.eps_slack))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        object.__setattr__(self, "beta", Fraction(self.beta))
         if self.eps_slack <= 0:
             raise ValidationError("eps_slack must be positive")
-        if self.alpha <= 0 or self.beta <= 0:
-            raise ValidationError("alpha, beta must be positive")
-        # alpha * w^beta >= 2^w on the configured range, checked exactly
-        bden = self.beta.denominator
-        for w in range(1, self.omega_range + 1):
-            lhs = self.alpha ** bden * Fraction(w) ** self.beta.numerator
-            rhs = Fraction(2) ** (w * bden)
-            if lhs < rhs:
-                raise ValidationError(
-                    "alpha*omega^beta fails to dominate 2^omega at omega=%d" % w
-                )
 
     @property
     def d_factored(self) -> FactoredInteger:
@@ -118,12 +120,13 @@ def capital_n(params: BoundParams) -> int:
     return nth_prime(x_value(params)) ** params.c * jacobsthal(_g_arg(params))
 
 
-def sigma_set(params: BoundParams, cap: int = SIGMA_ENUMERATION_CAP) -> list[int]:
+def sigma_set(params: BoundParams) -> list[int]:
     """The set {m^c : 1 <= m <= N, gcd(m, d) = 1, p does not divide m}, sorted."""
     n_cap = capital_n(params)
-    if n_cap > cap:
+    if n_cap > SIGMA_ENUMERATION_CAP:
         raise CapExceededError(
-            "sigma_set needs to enumerate up to N=%d (cap %d)" % (n_cap, cap),
+            "sigma_set needs to enumerate up to N=%d (cap %d)"
+            % (n_cap, SIGMA_ENUMERATION_CAP),
             required=n_cap,
         )
     out = []
@@ -173,13 +176,7 @@ def _prime_upper(x: int) -> int:
     return -((-v.numerator) // v.denominator)
 
 
-def _nth_prime_or_upper(x: int, exact_cap: int = EXACT_PRIME_INDEX_CAP) -> int:
-    if x <= exact_cap:
-        return nth_prime(x)
-    return _prime_upper(x)
-
-
-def iterated_f(params: BoundParams, i: int, exact_cap: int = EXACT_PRIME_INDEX_CAP) -> int:
+def iterated_f(params: BoundParams, i: int) -> int:
     """f_i(D): f_0 = D, f_{i+1} = f(f_i, d), with d held fixed.
 
     Past the exact sieve range the prime lookup falls back to the certified
@@ -196,7 +193,7 @@ def iterated_f(params: BoundParams, i: int, exact_cap: int = EXACT_PRIME_INDEX_C
             x = 2 * val + w + 1
         else:
             x = ceil_root(val, 4 * params.c) + val + w + 1
-        n = _nth_prime_or_upper(x, exact_cap)
+        n = nth_prime(x) if x <= EXACT_PRIME_INDEX_CAP else _prime_upper(x)
         val = val ** 2 * (n ** params.c * g) ** (2 * params.c * params.Delta)
     return val
 
@@ -227,19 +224,20 @@ def _ceil_power_product(bases_exps: list[tuple[Fraction, Fraction]]) -> int:
 
 def closed_form_threshold(params: BoundParams) -> int:
     """Ceiling of max{a'*b'^{b'}, a'^{b'/(b'-1)} * D^{delta*b'/(b'-1)}} with
-    a' = alpha^{delta'} and b' = delta'*beta + delta."""
+    a' = alpha^{delta'} and b' = delta'*beta + delta, for the power-form
+    constants alpha and beta."""
     _, delta, delta_prime = exponent_constants(params.Delta, params.c, params.eps_slack)
     if params.Delta == 0:
         return 1
-    beta_prime = delta_prime * params.beta + delta
+    beta_prime = delta_prime * POWER_FORM_BETA + delta
     if beta_prime <= 1:
         raise ValidationError("closed form needs beta' > 1 (holds for Delta >= 1)")
     term1 = _ceil_power_product(
-        [(params.alpha, delta_prime), (beta_prime, beta_prime)]
+        [(POWER_FORM_ALPHA, delta_prime), (beta_prime, beta_prime)]
     )
     ratio = beta_prime / (beta_prime - 1)
     term2 = _ceil_power_product(
-        [(params.alpha, delta_prime * ratio), (Fraction(params.D), delta * ratio)]
+        [(POWER_FORM_ALPHA, delta_prime * ratio), (Fraction(params.D), delta * ratio)]
     )
     return max(term1, term2)
 
@@ -251,7 +249,7 @@ def _kanold_rhs_powL(k: int, D: int, delta: Fraction, delta_prime: Fraction, L: 
     return A ** int(delta * L) * 2 ** int((k + 1) * delta_prime * L)
 
 
-def _violation_region(params: BoundParams, tail_k_cap: int, bit_budget: int):
+def _violation_region(params: BoundParams):
     """All omega-classes where the Kanold-form system can fail.
 
     Returns (upper, rhs_by_omega, L): ``upper`` is a certified integer above
@@ -269,41 +267,36 @@ def _violation_region(params: BoundParams, tail_k_cap: int, bit_budget: int):
     k = 0
     while True:
         R_L = _kanold_rhs_powL(k, params.D, delta, delta_prime, L)
-        if R_L.bit_length() > bit_budget * L:
+        if R_L.bit_length() > THRESHOLD_BIT_BUDGET * L:
             raise CapExceededError(
-                "threshold certificate exceeds the %d-bit budget" % bit_budget
+                "threshold certificate exceeds the %d-bit budget" % THRESHOLD_BIT_BUDGET
             )
         rhs.append(R_L)
         if primorial ** L < R_L:
             upper = max(upper, ceil_root_fraction(R_L, 1, L))
         elif k + 1 >= delta and nth_prime(k + 1) >= prime_floor:
             break
-        if k >= tail_k_cap:
+        if k >= TAIL_K_CAP:
             raise CapExceededError(
-                "primorial tail scan exceeded %d primes" % tail_k_cap, required=k
+                "primorial tail scan exceeded %d primes" % TAIL_K_CAP, required=k
             )
         k += 1
         primorial *= nth_prime(k)
     return upper, rhs, L
 
 
-def final_delta(
-    params: BoundParams,
-    scan_cap: int = 10 ** 6,
-    tail_k_cap: int = TAIL_K_CAP,
-    bit_budget: int = THRESHOLD_BIT_BUDGET,
-) -> int:
+def final_delta(params: BoundParams) -> int:
     """A verified order threshold: every d at or above it satisfies both
     Kanold-form inequalities, and the closed-form comparator is folded in.
 
-    When the certified violation region fits under ``scan_cap`` the region is
+    When the certified violation region fits under ``THRESHOLD_SCAN_CAP`` it is
     scanned exhaustively and the threshold is the exact minimal one; otherwise
     the certificate's upper end is used directly (sufficient, not minimal).
     """
     if params.Delta == 0:
         return 1
-    upper, rhs, L = _violation_region(params, tail_k_cap, bit_budget)
-    if upper <= scan_cap:
+    upper, rhs, L = _violation_region(params)
+    if upper <= THRESHOLD_SCAN_CAP:
         last_bad = 0
         for d in range(1, upper):
             k = factorize(d).omega
@@ -375,7 +368,7 @@ class BoundReport:
         }
 
 
-def bound_report(params: BoundParams, scan_cap: int = 10 ** 6) -> BoundReport:
+def bound_report(params: BoundParams) -> BoundReport:
     """Assemble every constant for one parameter set."""
     lam, delta, delta_prime = exponent_constants(
         params.Delta, params.c, params.eps_slack
@@ -384,7 +377,7 @@ def bound_report(params: BoundParams, scan_cap: int = 10 ** 6) -> BoundReport:
     n = nth_prime(x)
     N = capital_n(params)
     iterates = tuple(iterated_f(params, i) for i in range(params.Delta + 1))
-    beta_prime = delta_prime * params.beta + delta
+    beta_prime = delta_prime * POWER_FORM_BETA + delta
     return BoundReport(
         params=params,
         x=x,
@@ -396,8 +389,8 @@ def bound_report(params: BoundParams, scan_cap: int = 10 ** 6) -> BoundReport:
         lam=lam,
         delta_exp=delta,
         delta_prime_exp=delta_prime,
-        alpha_prime=float(params.alpha) ** float(delta_prime),
+        alpha_prime=float(POWER_FORM_ALPHA) ** float(delta_prime),
         beta_prime=beta_prime,
         closed_form=closed_form_threshold(params),
-        final_delta=final_delta(params, scan_cap=scan_cap),
+        final_delta=final_delta(params),
     )

@@ -16,10 +16,14 @@ from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
+from .linalg import free_summand_bases as _free_summand_bases_prime_power
 from .linalg import smith_normal_form, span_points
 
 #: subgroup/point enumeration refuses to touch ambient groups bigger than this
 AMBIENT_ORDER_CAP = 20736  # 12^4
+
+#: torsion_count cross-checks its closed form by enumeration up to this order
+TORSION_COUNT_ENUM_CAP = 4096
 
 Vector = tuple[int, ...]
 
@@ -193,10 +197,6 @@ class TorsionCoset:
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "order", coset_order_raw(pt, self.subgroup))
 
-    def points(self, cap: int = AMBIENT_ORDER_CAP) -> frozenset[Vector]:
-        amb = self.subgroup.ambient
-        return frozenset(amb.add(self.point, b) for b in self.subgroup.elements(cap))
-
     def same_coset(self, other: "TorsionCoset") -> bool:
         if not self.subgroup.same_subgroup(other.subgroup):
             return False
@@ -259,15 +259,15 @@ def multiply_coset(q: int, coset: TorsionCoset) -> TorsionCoset:
     return TorsionCoset(amb.scale(q, coset.point), coset.subgroup)
 
 
-def torsion_count(B: ModelSubvariety, q: int, enum_cap: int = 4096) -> int:
+def torsion_count(B: ModelSubvariety, q: int) -> int:
     """#B[q] = gcd(q, N)^(2 dim B); cross-checked by enumeration when B is small."""
     if q < 1:
         raise ValidationError("torsion_count requires q >= 1")
     amb = B.ambient
     closed = gcd(q, amb.N) ** (2 * B.dim)
-    if B.order <= enum_cap:
+    if B.order <= TORSION_COUNT_ENUM_CAP:
         enumerated = sum(
-            1 for x in B.elements(enum_cap) if all(q * c % amb.N == 0 for c in x)
+            1 for x in B.elements() if all(q * c % amb.N == 0 for c in x)
         )
         if enumerated != closed:
             raise InternalCheckError(
@@ -357,38 +357,6 @@ def hindry_criterion(V: list[TorsionCoset], q: int, q_prime: int) -> HindryRepor
 
 # ---------------------------------------------------------------------------
 # direct-summand catalogs
-
-
-def _free_summand_bases_prime_power(q: int, p: int, n: int, r: int):
-    """Canonical bases of the free rank-r direct summands of (Z/q)^n, q = p^e,
-    each yielded with its pivot columns.
-
-    Echelon shape: pivot columns carry the identity; a non-pivot entry right
-    of its row's pivot ranges over Z/q, one left of it over p*Z/q (its mod-p
-    reduction must vanish there for the mod-p image to be in echelon form).
-    Each summand appears exactly once: count per pivot set multiplies out to
-    the Gaussian binomial times p^((e-1) r (n-r)).
-    """
-    if r == 0:
-        yield (), ()
-        return
-    for pivots in itertools.combinations(range(n), r):
-        free_slots = []
-        for i in range(r):
-            for j in range(n):
-                if j in pivots:
-                    continue
-                if j > pivots[i]:
-                    free_slots.append((i, j, tuple(range(q))))
-                else:
-                    free_slots.append((i, j, tuple(range(0, q, p))))
-        for values in itertools.product(*(vals for _, _, vals in free_slots)):
-            rows = [[0] * n for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            for (i, j, _), val in zip(free_slots, values):
-                rows[i][j] = val
-            yield pivots, tuple(tuple(row) for row in rows)
 
 
 #: (N, g, rank) -> (catalog, index); built by _catalog, read through

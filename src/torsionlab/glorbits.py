@@ -16,7 +16,7 @@ from math import isqrt
 from operator import and_, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
-from .linalg import rank, rref, span_points
+from .linalg import free_summand_bases, rank, rref, span_points
 
 #: refuse subspace-lattice work when the ambient point count exceeds this
 SUBSPACE_LATTICE_CAP = 3125  # 5^5
@@ -99,22 +99,11 @@ def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}
     key = (ell, dim)
     if key in _cache:
         return _cache[key]
-    out = [Subspace(ell, dim, ())]
-    for r in range(1, dim + 1):
-        for pivots in itertools.combinations(range(dim), r):
-            free = [
-                (i, j)
-                for i in range(r)
-                for j in range(dim)
-                if j > pivots[i] and j not in pivots
-            ]
-            for values in itertools.product(range(ell), repeat=len(free)):
-                rows = [[0] * dim for _ in range(r)]
-                for i in range(r):
-                    rows[i][pivots[i]] = 1
-                for (i, j), val in zip(free, values):
-                    rows[i][j] = val
-                out.append(Subspace(ell, dim, tuple(tuple(x) for x in rows)))
+    out = [
+        Subspace(ell, dim, basis)
+        for r in range(dim + 1)
+        for _, basis in free_summand_bases(ell, ell, dim, r)
+    ]
     _cache[key] = out
     return out
 

@@ -1,5 +1,5 @@
 """Exact linear algebra helpers: elimination over Q and F_ell, spans mod n,
-integer Smith form, integer roots.
+echelon enumeration of summand bases, integer Smith form, integer roots.
 
 Everything here is deterministic and exact.  Rational matrices are tuples of
 tuples of Fractions; integer and F_ell matrices are lists of lists of ints.
@@ -34,10 +34,18 @@ def identity(n: int) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    """a @ b, each output row summed from the rows of b at the nonzero entries
+    of the row of a; no zero product is formed, so matrix units are cheap."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:
@@ -128,6 +136,36 @@ def span_points(basis, n: int, dim: int) -> frozenset[tuple[int, ...]]:
         tuple([sum(map(mul, coeffs, col)) % n for col in cols])
         for coeffs in itertools.product(range(n), repeat=len(basis))
     )
+
+
+def free_summand_bases(q: int, p: int, n: int, r: int):
+    """Canonical bases of the free rank-r direct summands of (Z/q)^n, q = p^e,
+    each yielded with its pivot columns.
+
+    Echelon shape: pivot columns carry the identity; a non-pivot entry right
+    of its row's pivot ranges over Z/q, one left of it over p*Z/q (its mod-p
+    reduction must vanish there for the mod-p image to be in echelon form).
+    Each summand appears exactly once: count per pivot set multiplies out to
+    the Gaussian binomial times p^((e-1) r (n-r)).  With q = p these are the
+    reduced echelon bases of the r-dimensional subspaces of F_p^n.
+    """
+    for pivots in itertools.combinations(range(n), r):
+        free_slots = []
+        for i in range(r):
+            for j in range(n):
+                if j in pivots:
+                    continue
+                if j > pivots[i]:
+                    free_slots.append((i, j, tuple(range(q))))
+                else:
+                    free_slots.append((i, j, tuple(range(0, q, p))))
+        for values in itertools.product(*(vals for _, _, vals in free_slots)):
+            rows = [[0] * n for _ in range(r)]
+            for i in range(r):
+                rows[i][pivots[i]] = 1
+            for (i, j, _), val in zip(free_slots, values):
+                rows[i][j] = val
+            yield pivots, tuple(tuple(row) for row in rows)
 
 
 def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:

@@ -2,7 +2,8 @@
 
 Each criterion returns a CheckResult with a pass flag and a summary line.
 The CLI ``selftest`` subcommand and the pytest acceptance module both call
-these functions, so CI and users run identical checks.  Oracles here are
+these functions, so CI and users run identical checks; criteria 1-4 ignore
+the seed.  Oracles here are
 deliberately independent of the library paths they judge (gcd scans instead
 of factor sieves, addition closures instead of coefficient spans).
 """
@@ -15,8 +16,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-
-import numpy as np
 
 from . import algebras as alg
 from . import bounds as bnd
@@ -32,6 +31,16 @@ from .integers import (
     squarefree_quotient,
 )
 from .linalg import nullspace, rank, rref, span_leq
+
+# the sizes of the checks
+JACOBSTHAL_LIMIT = 10 ** 4  # c1: every d up to this
+SHIFT_N_MAX, SHIFT_D_MAX = 60, 500  # c2: 0 <= a < n <= SHIFT_N_MAX, d <= SHIFT_D_MAX
+ROSSER_X_MAX = 10 ** 4  # c3: 4 <= x <= ROSSER_X_MAX
+BOUND_GRID_MAX = 50  # c4: D and d in 1..BOUND_GRID_MAX
+THRESHOLD_SAMPLES = 200  # c5: sampled d per (D, Delta, c)
+MIN_GROUPS = 200  # c6: fails when fewer distinct groups are generated
+LIFTS, CENTRAL_LIFTS, MEMBERSHIPS = 500, 200, 1000  # c7: random instances of each kind
+CLOSURE_CASES = 100  # c8: random subsets the closure operator is checked on
 
 
 @dataclass
@@ -65,21 +74,23 @@ def _result(index, name, t0, violations, checked, extra=""):
 
 def _definition_scan(d: int) -> int:
     """Definition oracle: least M with every window of M consecutive integers
-    in [1, d+M] containing one coprime to d; gcd-based, no factor sieve."""
-    if d == 1:
-        return 1
-    n = 2 * d + 1
-    ar = np.gcd(np.arange(1, n + 1, dtype=np.int64), d)
-    pos = np.where(ar == 1, np.arange(n), np.int64(1) << 40)
-    next_coprime = np.minimum.accumulate(pos[::-1])[::-1]
-    return int((next_coprime[: d + 1] - np.arange(d + 1)).max()) + 1
+    containing one coprime to d.  Windows repeat with period d, so this is the
+    largest gap between consecutive integers in [1, d+1] coprime to d (both
+    ends are); gcd-based, no factor sieve."""
+    best = last = 1
+    for m in range(2, d + 2):
+        if gcd(m, d) == 1:
+            if m - last > best:
+                best = m - last
+            last = m
+    return best
 
 
-def criterion_jacobsthal(limit: int = 10 ** 4, **_) -> CheckResult:
+def criterion_jacobsthal(seed: int = 0) -> CheckResult:
     t0 = time.time()
     violations = 0
     checked = 0
-    for d in range(1, limit + 1):
+    for d in range(1, JACOBSTHAL_LIMIT + 1):
         g = jacobsthal(d)
         checked += 1
         if g != _definition_scan(d):
@@ -105,13 +116,13 @@ def criterion_jacobsthal(limit: int = 10 ** 4, **_) -> CheckResult:
 # --- criterion 2: coprime shift -----------------------------------------------------
 
 
-def criterion_coprime_shift(n_max: int = 60, d_max: int = 500, **_) -> CheckResult:
+def criterion_coprime_shift(seed: int = 0) -> CheckResult:
     t0 = time.time()
     violations = 0
     checked = 0
-    for n in range(1, n_max + 1):
+    for n in range(1, SHIFT_N_MAX + 1):
         for a in range(0, n):
-            for d in range(1, d_max + 1):
+            for d in range(1, SHIFT_D_MAX + 1):
                 if gcd(a, gcd(n, d)) != 1:
                     continue
                 k = minimal_coprime_shift(a, n, d)
@@ -129,13 +140,13 @@ def criterion_coprime_shift(n_max: int = 60, d_max: int = 500, **_) -> CheckResu
 # --- criterion 3: prime upper bound ---------------------------------------------------
 
 
-def criterion_rosser(x_max: int = 10 ** 4, **_) -> CheckResult:
+def criterion_rosser(seed: int = 0) -> CheckResult:
     t0 = time.time()
     violations = 0
     checked = 1
     if nth_prime(4) != 7:
         violations += 1
-    for x in range(4, x_max + 1):
+    for x in range(4, ROSSER_X_MAX + 1):
         checked += 1
         if nth_prime(x) > rosser_upper(x):
             violations += 1
@@ -145,7 +156,7 @@ def criterion_rosser(x_max: int = 10 ** 4, **_) -> CheckResult:
 # --- criterion 4: degree-bound consistency ---------------------------------------------
 
 
-def criterion_bound_consistency(grid_max: int = 50, **_) -> CheckResult:
+def criterion_bound_consistency(seed: int = 0) -> CheckResult:
     t0 = time.time()
     violations = 0
     checked = 0
@@ -155,8 +166,8 @@ def criterion_bound_consistency(grid_max: int = 50, **_) -> CheckResult:
         violations += 1
 
     # f >= D^2 N^(2cDelta) over the full grid (cheap: first-level values)
-    for D in range(1, grid_max + 1):
-        for d in range(1, grid_max + 1):
+    for D in range(1, BOUND_GRID_MAX + 1):
+        for d in range(1, BOUND_GRID_MAX + 1):
             for Delta in range(1, 4):
                 for c in range(1, 4):
                     params = bnd.BoundParams(D=D, Delta=Delta, c=c, d=d)
@@ -167,13 +178,13 @@ def criterion_bound_consistency(grid_max: int = 50, **_) -> CheckResult:
                         violations += 1
 
     # iterate chains: d enters only through (omega, g), so deduplicate the
-    # d-axis by that class; every class present among d <= grid_max is hit
+    # d-axis by that class; every class present among d <= BOUND_GRID_MAX is hit
     classes = {}
-    for d in range(1, grid_max + 1):
+    for d in range(1, BOUND_GRID_MAX + 1):
         fi = factorize(d)
         key = (fi.omega, jacobsthal(fi.radical))
         classes.setdefault(key, d)
-    for D in range(1, grid_max + 1):
+    for D in range(1, BOUND_GRID_MAX + 1):
         for d in classes.values():
             for Delta in range(1, 4):
                 for c in range(1, 4):
@@ -234,7 +245,7 @@ def _double_up_to(d: int, T: int) -> int:
     return d if d >= T else d << 1
 
 
-def criterion_threshold_soundness(samples: int = 200, seed: int = 0, **_) -> CheckResult:
+def criterion_threshold_soundness(seed: int = 0) -> CheckResult:
     t0 = time.time()
     rng = random.Random(seed)
     violations = 0
@@ -245,7 +256,7 @@ def criterion_threshold_soundness(samples: int = 200, seed: int = 0, **_) -> Che
             for c in (1, 2):
                 params = bnd.BoundParams(D=D, Delta=Delta, c=c)
                 T = bnd.final_delta(params)
-                for _ in range(samples):
+                for _ in range(THRESHOLD_SAMPLES):
                     if 10 * T <= 10 ** 10:
                         d = rng.randrange(T, 10 * T + 1)
                         omega = factorize(d).omega
@@ -276,7 +287,7 @@ def _random_gl_generators(rng, ell, dim, count):
     return out
 
 
-def criterion_orbit_densities(min_groups: int = 200, seed: int = 0, **_) -> CheckResult:
+def criterion_orbit_densities(seed: int = 0) -> CheckResult:
     t0 = time.time()
     rng = random.Random(seed)
     group_cap = 1500
@@ -336,7 +347,7 @@ def criterion_orbit_densities(min_groups: int = 200, seed: int = 0, **_) -> Chec
                     violations += 1
     extra = "%d groups" % len(groups)
     res = _result(6, "orbit-density stabilizer bound", t0, violations, checked, extra)
-    if len(groups) < min_groups:
+    if len(groups) < MIN_GROUPS:
         res.passed = False
         res.details += "; only %d groups generated" % len(groups)
     if res.seconds >= 600:
@@ -411,15 +422,13 @@ def _diag_idempotent(rng, alg_obj, lower=None):
     return alg.AlgebraElement(alg_obj, tuple(data))
 
 
-def criterion_idempotent_chains(
-    lifts: int = 500, central: int = 200, memberships: int = 1000, seed: int = 0, **_
-) -> CheckResult:
+def criterion_idempotent_chains(seed: int = 0) -> CheckResult:
     t0 = time.time()
     rng = random.Random(seed)
     violations = 0
     checked = 0
 
-    for _ in range(lifts):
+    for _ in range(LIFTS):
         M, N, emb, emb0, g, g_inv = _random_subalgebra_pair(rng)
         rep = alg.standard_representation(N)
         u = g * _diag_idempotent(rng, N) * g_inv
@@ -453,7 +462,7 @@ def criterion_idempotent_chains(
         if not chain_ok:
             violations += 1
 
-    for _ in range(central):
+    for _ in range(CENTRAL_LIFTS):
         M, N, emb, emb0, g, g_inv = _random_subalgebra_pair(rng)
         rep = alg.standard_representation(N)
         h = _random_invertible(rng, M)
@@ -480,7 +489,7 @@ def criterion_idempotent_chains(
         if not (v.is_idempotent() and span_leq(lhs, mid) and span_leq(mid, rhs)):
             violations += 1
 
-    for _ in range(memberships):
+    for _ in range(MEMBERSHIPS):
         blocks = tuple(rng.choice((1, 2, 3)) for _ in range(rng.choice((1, 2))))
         B = alg.SplitSemisimpleAlgebra(blocks)
         rep = alg.standard_representation(B)
@@ -559,7 +568,7 @@ def _subgroup_points_by_closure(B: cst.ModelSubvariety) -> frozenset:
     return frozenset(seen)
 
 
-def criterion_torsion_model(seed: int = 0, closure_cases: int = 100, **_) -> CheckResult:
+def criterion_torsion_model(seed: int = 0) -> CheckResult:
     t0 = time.time()
     rng = random.Random(seed)
     violations = 0
@@ -621,7 +630,7 @@ def criterion_torsion_model(seed: int = 0, closure_cases: int = 100, **_) -> Che
         (3, 1), (4, 1), (5, 1), (6, 1), (8, 1), (9, 1), (12, 1),
         (2, 2), (3, 2), (4, 2), (6, 2), (12, 2),
     ]
-    for i in range(closure_cases):
+    for i in range(CLOSURE_CASES):
         N, g = ambients[i % len(ambients)]
         amb = cst.ModelAmbient(N, g)
         c = rng.choice((1, 2, 3))

@@ -52,3 +52,12 @@ def test_threshold_sampler_doubling_matches_the_loop(monkeypatch):
                 assert T <= d < 4 * T
                 samples += 1
     assert len(doubled) == samples and 0 < sum(doubled) < samples
+
+
+def test_definition_scan_matches_the_window_oracle():
+    from oracles import jacobsthal_by_definition
+
+    from torsionlab.selfcheck import _definition_scan
+
+    for d in range(1, 3001):
+        assert _definition_scan(d) == jacobsthal_by_definition(d), d

@@ -18,7 +18,8 @@ from torsionlab.bounds import (
     threshold_inequalities_hold,
     x_value,
 )
-from torsionlab.errors import CapExceededError, ValidationError
+from torsionlab import bounds
+from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.integers import factorize, jacobsthal, nth_prime
 
 from oracles import nth_prime_by_sieve
@@ -54,9 +55,10 @@ def test_sigma_set_examples():
     assert sigma_set(P(1, 1, 2, p=2)) == [m ** 2 for m in range(1, 51) if m % 2]
 
 
-def test_sigma_set_cap():
+def test_sigma_set_cap(monkeypatch):
+    monkeypatch.setattr(bounds, "SIGMA_ENUMERATION_CAP", 100)
     with pytest.raises(CapExceededError) as exc:
-        sigma_set(P(50, 3, 3, d=30), cap=100)
+        sigma_set(P(50, 3, 3, d=30))
     assert exc.value.required is not None and exc.value.required > 100
 
 
@@ -215,9 +217,16 @@ def test_final_delta_regression_pin_2_2_1():
     assert (digits[:12], len(digits), v.bit_length()) == ("461837142733", 162, 538)
 
 
-def test_bound_params_validates_alpha_beta():
-    with pytest.raises(ValidationError):
-        BoundParams(D=1, Delta=1, c=1, alpha=Fraction(1), beta=Fraction(1))
+def test_power_form_check():
+    with pytest.raises(InternalCheckError):
+        bounds._check_power_form(1, 1, 40)
+    # 2 * 44^8 >= 2^44 but 2 * 45^8 < 2^45
+    bounds._check_power_form(2, 8, 44)
+    with pytest.raises(InternalCheckError, match="omega=45"):
+        bounds._check_power_form(2, 8, 45)
+    bounds._check_power_form(
+        bounds.POWER_FORM_ALPHA, bounds.POWER_FORM_BETA, bounds.POWER_FORM_OMEGA_RANGE
+    )
 
 
 def test_bound_params_rejects_composite_characteristic():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from torsionlab import bounds
 from torsionlab.bounds import BoundParams, final_delta
 from torsionlab.cosets import ModelAmbient, special_closure
 from torsionlab.errors import CapExceededError, ValidationError
@@ -21,14 +22,16 @@ def test_ambient_cap_on_closure():
     assert exc.value.required == 28561
 
 
-def test_final_delta_bit_budget():
-    with pytest.raises(CapExceededError):
-        final_delta(BoundParams(D=10, Delta=2, c=2), bit_budget=64)
+def test_final_delta_bit_budget(monkeypatch):
+    monkeypatch.setattr(bounds, "THRESHOLD_BIT_BUDGET", 64)
+    with pytest.raises(CapExceededError, match="64-bit budget"):
+        final_delta(BoundParams(D=10, Delta=2, c=2))
 
 
-def test_final_delta_tail_cap():
-    with pytest.raises(CapExceededError):
-        final_delta(BoundParams(D=10, Delta=2, c=2), tail_k_cap=10)
+def test_final_delta_tail_cap(monkeypatch):
+    monkeypatch.setattr(bounds, "TAIL_K_CAP", 10)
+    with pytest.raises(CapExceededError, match="exceeded 10 primes"):
+        final_delta(BoundParams(D=10, Delta=2, c=2))
 
 
 def test_cli_missing_input_file(capsys):

@@ -287,6 +287,20 @@ def test_algebras_beyond_the_cap_fail_fast(tmp_path, m_blocks, n_blocks):
     ]
 
 
+def test_many_small_blocks_under_the_cap_answer_fast(tmp_path):
+    # sixteen 1x1 blocks: the most matrix-unit products any algebra under the
+    # cap makes its representation check; it must answer, not just fit the cap
+    blocks = [1] * 16
+    embedding = [_unit(blocks, bi, 0, 0) for bi in range(16)]
+    path = tmp_path / "blocks.json"
+    path.write_text(json.dumps({"M": blocks, "N": blocks, "embedding": embedding,
+                                "u": _unit(blocks, 0, 0, 0), "w": _unit(blocks, 0, 0, 0)}))
+    proc = _limited_child(["idempotent-lift", "--input", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    doc = validate(proc.stdout)
+    assert doc["idempotent"] is True
+
+
 def test_gl_verify_huge_dim_refused_without_the_power(tmp_path, capsys):
     path = tmp_path / "huge-dim.json"
     path.write_text(json.dumps({"ell": 3, "dim": 10 ** 12, "generators": [],
@@ -380,6 +394,20 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"d": 12, "g": 4, "kanold": 4}
+
+
+def test_every_module_imports_without_numpy():
+    # numpy is a test dependency only; a child that cannot import it must
+    # still import the whole package
+    import pkgutil
+
+    names = ["torsionlab." + m.name for m in pkgutil.iter_modules(torsionlab.__path__)
+             if m.name != "__main__"]  # importing __main__ runs the CLI
+    assert "torsionlab.selfcheck" in names
+    code = "import sys\nsys.modules['numpy'] = None\nimport %s\n" % ", ".join(names)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_selftest_single_criterion(capsys):
