@@ -1,25 +1,38 @@
 """Elementary exact number theory: factorization, primes, and the Jacobsthal function.
 
+Factoring trial-divides by the primes below 100 and splits what is left with
+Pollard-Brent rho (Brent, BIT 20 (1980)); every factor is certified by
+Miller-Rabin with the first 12 prime bases, which is deterministic below
+3.18e23 (Sorenson-Webster, Math. Comp. 86 (2017)).
+
 The Jacobsthal function g(d) is the smallest M such that every block of M
-consecutive integers contains one coprime to d.  It is computed here by an
-exact gap scan over one full period, which is what lets the explicit upper
-bounds (Kanold, Stevens) be *verified* rather than assumed.
+consecutive integers contains one coprime to d.  It is computed exactly by a
+covering search over the distinct primes of d, whose cost depends on omega(d)
+and not on d; this is what lets the explicit upper bounds (Kanold, Stevens)
+be *verified* rather than assumed.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 
-#: trial-division factorization is only supported up to this input size
+#: factorize refuses inputs above this; every cofactor it tests for primality
+#: is then far below the 3.18e23 up to which its Miller-Rabin bases are exact
 FACTOR_LIMIT = 2 ** 64
 
-#: constant from the least-prime-in-progression remark (informational only)
-LINNIK_EXPONENT = 5.2
+#: refuse a g(d) covering search past this many nodes: it admits every d up
+#: to 10^7 and the primorial of the first 10 primes, not that of the first 11
+JACOBSTHAL_NODE_CAP = 10 ** 7
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67,
+                 71, 73, 79, 83, 89, 97)
+_MR_BASES = _SMALL_PRIMES[:12]
 
 
 @dataclass(frozen=True)
@@ -49,9 +62,67 @@ class FactoredInteger:
         return self.value
 
 
+def is_prime(n: int) -> bool:
+    """Primality of 0 <= n <= FACTOR_LIMIT by Miller-Rabin with the bases 2..37
+    (deterministic in that range)."""
+    if not isinstance(n, int) or not 0 <= n <= FACTOR_LIMIT:
+        raise ValidationError("is_prime requires 0 <= n <= 2^64, got %r" % (n,))
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    odd = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _brent_factor(n: int) -> int:
+    """A proper divisor of the odd composite n, by Pollard-Brent rho with
+    gcds taken over batches of 128 steps."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise InternalCheckError("Pollard-Brent rho found no divisor of %d; this is a bug" % n)
+
+
 @lru_cache(maxsize=1 << 17)
 def factorize(n: int) -> FactoredInteger:
-    """Trial-division factorization of n >= 1 (pure, memoized)."""
+    """Factorization of 1 <= n <= FACTOR_LIMIT (pure, memoized).
+
+    Small primes come off by trial division, the cofactor is split by
+    Pollard-Brent rho until every part passes the primality test, and the
+    result is checked to multiply back to n with every factor prime.
+    """
     if not isinstance(n, int) or n < 1:
         raise ValidationError("factorize requires a positive integer, got %r" % (n,))
     if n > FACTOR_LIMIT:
@@ -59,32 +130,24 @@ def factorize(n: int) -> FactoredInteger:
             "factorize input exceeds the %d-bit configuration cap" % FACTOR_LIMIT.bit_length(),
             required=n,
         )
+    exponents: Counter[int] = Counter()
     m = n
-    out = []
-    for p in (2, 3, 5):
-        if m % p == 0:
-            e = 0
-            while m % p == 0:
-                m //= p
-                e += 1
-            out.append((p, e))
-    # 30-wheel over the remaining candidates
-    f = 7
-    inc = (4, 2, 4, 2, 4, 6, 2, 6)
-    i = 0
-    while f * f <= m:
-        if m % f == 0:
-            e = 0
-            while m % f == 0:
-                m //= f
-                e += 1
-            out.append((f, e))
-        f += inc[i]
-        i = (i + 1) % 8
-    if m > 1:
-        out.append((m, 1))
-    out.sort()
-    return FactoredInteger(n, tuple(out))
+    for p in _SMALL_PRIMES:
+        while m % p == 0:
+            m //= p
+            exponents[p] += 1
+    parts = [m] if m > 1 else []
+    while parts:
+        m = parts.pop()
+        if is_prime(m):
+            exponents[m] += 1
+        else:
+            f = _brent_factor(m)
+            parts += [f, m // f]
+    out = tuple(sorted(exponents.items()))
+    if math.prod(p ** e for p, e in out) != n or not all(is_prime(p) for p, _ in out):
+        raise InternalCheckError("factorization of %d failed its check; this is a bug" % n)
+    return FactoredInteger(n, out)
 
 
 def radical(n: int) -> int:
@@ -151,20 +214,62 @@ def rosser_upper(x: int) -> float:
 def jacobsthal(d: int) -> int:
     """Smallest M such that any M consecutive integers contain one coprime to d.
 
-    Exact: marks multiples of each prime divisor over one period 1..d and
-    takes the maximal circular gap between coprime residues (pure, memoized).
+    Exact (pure, memoized): by CRT, g(d) - 1 is the largest L for which
+    residues a_p, one per prime p of d, cover 1..L, so it only depends on the
+    distinct primes of d.  Any omega(d) integers can be covered one prime
+    each; L then grows while ``_coverable`` finds a covering.
     """
     if not isinstance(d, int) or d < 1:
         raise ValidationError("jacobsthal requires d >= 1, got %r" % (d,))
-    if d == 1:
-        return 1
-    buf = bytearray(b"\x01") * d
-    for p, _ in factorize(d).factors:
-        buf[p - 1 :: p] = b"\x00" * (d // p)
-    runs = bytes(buf).split(b"\x01")
-    inner = max((len(r) for r in runs[1:-1]), default=0)
-    circular = len(runs[0]) + len(runs[-1])
-    return max(inner, circular) + 1
+    primes = [p for p, _ in factorize(d).factors]
+    nodes = [0]
+    run = len(primes)
+    while _coverable(d, primes, run + 1, nodes):
+        run += 1
+    return run + 1
+
+
+def _coverable(d: int, primes: list[int], length: int, nodes: list[int]) -> bool:
+    """Whether one residue class per prime covers the integers 0..length-1.
+
+    A depth-first search places the primes below length in increasing order,
+    with the uncovered integers kept as a bitmask.  A prime >= length covers
+    at most one integer, so those primes are counted, not placed.  A branch
+    is pruned when the uncovered count, minus the most the primes still to
+    be placed can cover, exceeds that count.  ``nodes`` accumulates, across
+    calls, one node per residue class tried; past JACOBSTHAL_NODE_CAP the
+    search refuses.
+    """
+    small = [p for p in primes if p < length]
+    large = len(primes) - len(small)
+    classes = [[sum(1 << k for k in range(r, length, p)) for r in range(p)] for p in small]
+    reach = [0] * (len(small) + 1)
+    for i in range(len(small) - 1, -1, -1):
+        reach[i] = reach[i + 1] + -(-length // small[i])
+
+    def search(free: int, i: int) -> bool:
+        if i == len(small):
+            return True
+        nodes[0] += small[i]
+        if nodes[0] > JACOBSTHAL_NODE_CAP:
+            raise CapExceededError(
+                "g(%d) covering search exceeds cap %d nodes" % (d, JACOBSTHAL_NODE_CAP),
+                required=nodes[0],
+            )
+        limit = reach[i + 1] + large
+        missed = False  # the classes missing every uncovered integer are one choice
+        for cls in classes[i]:
+            rest = free & ~cls
+            if rest == free:
+                if missed:
+                    continue
+                missed = True
+            if rest.bit_count() <= limit and search(rest, i + 1):
+                return True
+        return False
+
+    full = (1 << length) - 1
+    return length - reach[0] <= large and search(full, 0)
 
 
 def jacobsthal_bounds(d) -> tuple[int, float | None]:
@@ -208,11 +313,3 @@ def minimal_coprime_shift(a: int, n: int, d: int) -> int:
         if gcd(a + k * n, d) == 1:
             return k
     raise InternalCheckError("coprime shift exceeded its g(d') bound; this is a bug")
-
-
-def linnik_comparator(n: int, d) -> float:
-    """Informational comparator n**5.2 * (omega(d) + 1); never asserted as a bound."""
-    if n < 1:
-        raise ValidationError("linnik_comparator requires n >= 1")
-    fi = d if isinstance(d, FactoredInteger) else factorize(d)
-    return n ** LINNIK_EXPONENT * (fi.omega + 1)

@@ -234,13 +234,13 @@ def test_gl_verify_big_ell_fails_fast(tmp_path):
     ]
 
 
-def _limited_child(argv):
-    """``python -m torsionlab argv`` under a 2 CPU-second and 512 MiB limit,
-    so that a missing cap fails the test instead of exhausting the host."""
+def _limited_child(argv, cpu_seconds=2):
+    """``python -m torsionlab argv`` under a CPU-second and 512 MiB limit, so
+    that a missing cap fails the test instead of exhausting the host."""
     import resource
 
     def limit():
-        resource.setrlimit(resource.RLIMIT_CPU, (2, 3))
+        resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
         resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
 
     return subprocess.run([sys.executable, "-m", "torsionlab"] + argv, capture_output=True,
@@ -255,6 +255,36 @@ def test_lang_orbit_of_huge_order_fails_fast():
         "error: cap-exceeded: orbit scan over the units mod 1000000007 exceeds cap 20736 "
         "(required 1000000007)"
     ]
+
+
+def test_jacobsthal_search_past_its_cap_fails_fast():
+    # the primorial of the first 12 primes; the refusal took 2.0 CPU s on a
+    # 2-vCPU VM, interpreter start-up included
+    proc = _limited_child(["jacobsthal", "7420738134810"], cpu_seconds=8)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: g(7420738134810) covering search exceeds cap 10000000 nodes "
+        "(required 10000011)"
+    ]
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["jacobsthal", "1000000007"], {"d": 1000000007, "g": 2, "kanold": 2}),
+    (["jacobsthal", "100000000000"], {"d": 100000000000, "g": 4, "kanold": 4}),
+    (["coprime-shift", "1", "1", "18446744073709551557"], {"k": 0, "value": 1, "bound": 2}),
+])
+def test_big_integer_inputs_answer_within_a_cpu_second(argv, report):
+    proc = _limited_child(argv, cpu_seconds=1)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == report
+
+
+def test_factoring_two_primes_near_2_to_32_within_a_cpu_second():
+    # 4294967279 * 4294967291, the hardest split for rho below 2^64, is factored
+    # before g is searched: 0.07 s of factoring and 0.27 s in all on a 2-vCPU VM
+    proc = _limited_child(["jacobsthal", "18446743979220271189"], cpu_seconds=1)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"d": 18446743979220271189, "g": 3, "kanold": 4}
 
 
 def _unit(blocks, bi, i, j):
@@ -397,14 +427,15 @@ def test_console_entrypoint_runs():
 
 
 def test_every_module_imports_without_numpy():
-    # numpy is a test dependency only; a child that cannot import it must
-    # still import the whole package
+    # numpy and sympy are test dependencies only; a child that cannot import
+    # them must still import the whole package
     import pkgutil
 
     names = ["torsionlab." + m.name for m in pkgutil.iter_modules(torsionlab.__path__)
              if m.name != "__main__"]  # importing __main__ runs the CLI
     assert "torsionlab.selfcheck" in names
-    code = "import sys\nsys.modules['numpy'] = None\nimport %s\n" % ", ".join(names)
+    code = ("import sys\nsys.modules['numpy'] = sys.modules['sympy'] = None\nimport %s\n"
+            % ", ".join(names))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr

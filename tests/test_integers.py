@@ -2,16 +2,18 @@ import math
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from torsionlab.errors import ValidationError
 from torsionlab.integers import (
+    FACTOR_LIMIT,
     FactoredInteger,
     factorize,
+    is_prime,
     jacobsthal,
     jacobsthal_bounds,
-    linnik_comparator,
     minimal_coprime_shift,
     nth_prime,
     rosser_upper,
@@ -53,6 +55,42 @@ def test_factorize_invariants(n):
     for p, _ in fi.factors:
         assert fi.radical % (p * p) != 0
     assert (n == 1) == (fi.factors == ())
+
+
+_primes_below_2_to_32 = st.integers(2 ** 16 + 1, 2 ** 32).map(sympy.prevprime)
+_two_prime_products = st.tuples(_primes_below_2_to_32, _primes_below_2_to_32).map(math.prod)
+_prime_powers = st.integers(3, 2 ** 32).map(sympy.prevprime).flatmap(
+    lambda p: st.integers(1, math.floor(math.log(FACTOR_LIMIT, p))).map(lambda e: p ** e))
+
+
+@given(st.one_of(st.integers(1, 10 ** 7), _two_prime_products, _prime_powers))
+@example(FACTOR_LIMIT)
+@example((2 ** 32 - 17) * (2 ** 32 - 5))  # the two largest primes below 2^32
+def test_factorize_matches_sympy(n):
+    assert dict(factorize(n).factors) == sympy.factorint(n)
+
+
+#: composites that fool some Miller-Rabin bases: Carmichael numbers, then the
+#: least strong pseudoprimes to the first 1, 2, 3, 4, 5, 6, 7 and 9 prime bases
+PSEUDOPRIMES = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 294409, 825265,
+                2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+                341550071728321, 3825123056546413051]
+
+
+@pytest.mark.parametrize("n", PSEUDOPRIMES)
+def test_is_prime_rejects_pseudoprimes(n):
+    assert is_prime(n) is sympy.isprime(n) is False
+
+
+@given(st.one_of(st.integers(0, 10 ** 6), st.integers(0, FACTOR_LIMIT),
+                 st.integers(3, FACTOR_LIMIT).map(sympy.prevprime)))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_is_prime_refuses_past_the_factor_limit():
+    with pytest.raises(ValidationError):
+        is_prime(FACTOR_LIMIT + 1)
 
 
 # --- primes ----------------------------------------------------------------
@@ -114,6 +152,41 @@ def test_jacobsthal_matches_definition_oracle():
 def test_jacobsthal_radical_invariance():
     for d in range(1, 2000):
         assert jacobsthal(d) == jacobsthal(factorize(d).radical)
+
+
+_PRIMES_BELOW_1000 = list(sympy.primerange(2, 1000))
+
+
+@st.composite
+def _prime_sets(draw, primes):
+    """(rad, d): at most 8 distinct primes with radical <= 10^7, each raised to
+    an exponent of 1 to 3 in d.  A drawn prime that would push the radical past
+    10^7 is left out."""
+    rad, d = 1, 1
+    for p in draw(st.lists(st.sampled_from(primes), min_size=1, max_size=8, unique=True)):
+        if rad * p <= 10 ** 7:
+            rad *= p
+            d *= p ** draw(st.integers(1, 3))
+    return rad, d
+
+
+@settings(max_examples=12)
+@given(st.one_of(_prime_sets(_PRIMES_BELOW_1000[:12]), _prime_sets(_PRIMES_BELOW_1000),
+                 _prime_sets(_PRIMES_BELOW_1000[4:])))
+@example((9699690, 9699690 * 2 * 3))  # the primes up to 19: the largest search below 10^7
+def test_jacobsthal_covering_search_matches_definition(rad_and_d):
+    rad, d = rad_and_d
+    g = jacobsthal(d)
+    assert g == jacobsthal_by_definition(rad)
+    assert g == jacobsthal(rad)
+    primes = [p for p, _ in factorize(rad).factors]
+    if min(primes) >= len(primes) + 1:
+        assert g == len(primes) + 1
+
+
+def test_jacobsthal_of_nine_prime_primorial():
+    # 2*3*5*...*23: the full-period scan this search replaced printed g = 40
+    assert jacobsthal(223092870) == 40
 
 
 def test_jacobsthal_bounds_examples():
@@ -179,17 +252,6 @@ def test_minimal_coprime_shift_matches_brute_force(a, n, d):
     assert k == brute_min_coprime_shift(a, n, d)
     assert gcd(a + k * n, d) == 1
     assert k < jacobsthal(squarefree_quotient(d, n))
-
-
-# --- Linnik comparator -------------------------------------------------------
-
-
-def test_linnik_examples():
-    assert linnik_comparator(1, 1) == 1.0
-    assert abs(linnik_comparator(2, 30) - 2 ** 5.2 * 4) < 1e-9
-    assert abs(linnik_comparator(2, 30) - 147.033) < 0.01
-    assert abs(linnik_comparator(3, 1) - 3 ** 5.2) < 1e-9
-    assert abs(linnik_comparator(3, 1) - 302.713) < 0.01
 
 
 def test_factored_integer_direct():
