@@ -182,19 +182,32 @@ def iterated_f(params: BoundParams, i: int) -> int:
     Past the exact sieve range the prime lookup falls back to the certified
     Rosser ceiling, which keeps every value an upper bound and keeps the
     sequence non-decreasing.
+
+    Before each step, the bit lengths of f_i and g give a lower bound on the
+    bit length of f_{i+1}: each factor is at least 2^(bitlen - 1), and
+    n >= x > f_i.  An iterate that bound puts past ``THRESHOLD_BIT_BUDGET`` is
+    refused before x (a root of f_i) or its power is computed.
     """
     if i < 0 or i > params.Delta:
         raise ValidationError("iterate index must satisfy 0 <= i <= Delta")
     w = params.d_factored.omega
     g = jacobsthal(_g_arg(params))
+    e = 2 * params.c * params.Delta
     val = params.D
-    for _ in range(i):
+    for step in range(1, i + 1):
+        b = val.bit_length() - 1
+        min_bits = 2 * b + e * (params.c * b + g.bit_length() - 1) + 1
+        if min_bits > THRESHOLD_BIT_BUDGET:
+            raise CapExceededError(
+                "iterate f_%d exceeds the %d-bit budget" % (step, THRESHOLD_BIT_BUDGET),
+                required=min_bits,
+            )
         if params.linear_x:
             x = 2 * val + w + 1
         else:
             x = ceil_root(val, 4 * params.c) + val + w + 1
         n = nth_prime(x) if x <= EXACT_PRIME_INDEX_CAP else _prime_upper(x)
-        val = val ** 2 * (n ** params.c * g) ** (2 * params.c * params.Delta)
+        val = val ** 2 * (n ** params.c * g) ** e
     return val
 
 
@@ -242,66 +255,118 @@ def closed_form_threshold(params: BoundParams) -> int:
     return max(term1, term2)
 
 
-def _kanold_rhs_powL(k: int, D: int, delta: Fraction, delta_prime: Fraction, L: int) -> int:
-    """R_k^L where R_k = max(k+1, D)^delta * 2^((k+1)*delta') bounds the
-    right-hand side of both inequalities for any d with omega(d) = k."""
-    A = max(k + 1, D)
-    return A ** int(delta * L) * 2 ** int((k + 1) * delta_prime * L)
-
-
-def _violation_region(params: BoundParams):
-    """All omega-classes where the Kanold-form system can fail.
-
-    Returns (upper, rhs_by_omega, L): ``upper`` is a certified integer above
-    every violating d (1 if none exist); violations with omega(d) = k require
-    primorial(k) <= d < R_k, and once primorials outgrow R_k they stay ahead
-    because consecutive-prime ratios beat the R-ratio 2^delta' * e.
-    """
+def _scaled_exponents(params: BoundParams) -> tuple[int, int, int]:
+    """(L, delta*L, delta'*L), with L the least common denominator of delta and
+    delta', so that every power below is an integer power."""
     _, delta, delta_prime = exponent_constants(params.Delta, params.c, params.eps_slack)
     L = lcm(delta.denominator, delta_prime.denominator)
-    dp_ceil = -(-delta_prime.numerator // delta_prime.denominator)
-    prime_floor = 3 * 2 ** dp_ceil  # >= e * 2^delta', locks the induction
-    upper = 1
-    rhs = []
-    primorial = 1
+    return L, int(delta * L), int(delta_prime * L)
+
+
+def _kanold_rhs_powL(k: int, D: int, dL: int, dpL: int) -> int:
+    """R_k^L where R_k = max(k+1, D)^delta * 2^((k+1)*delta') bounds the
+    right-hand side of both inequalities for any d with omega(d) = k; dL and
+    dpL are delta*L and delta'*L."""
+    return max(k + 1, D) ** dL << (k + 1) * dpL
+
+
+def _budget_error() -> CapExceededError:
+    return CapExceededError(
+        "threshold certificate exceeds the %d-bit budget" % THRESHOLD_BIT_BUDGET
+    )
+
+
+def _violation_region(params: BoundParams) -> tuple[int, int]:
+    """Where the Kanold-form system can fail, located without building R_k.
+
+    Violations with omega(d) = k require primorial(k) <= d < R_k, and once
+    primorials outgrow R_k they stay ahead because consecutive-prime ratios
+    beat the R-ratio 2^delta' * e: the loop stops at the first class k where
+    primorial(k) >= R_k and that lock holds.  Write R_k^L = a * 2^e with
+    a = max(k+1, D)^(delta*L) small and e = (k+1)*delta'*L.  Then
+    primorial^L < R_k^L exactly when (primorial^L >> e) < a, and
+    bitlen(R_k^L) = bitlen(a) + e, so neither the violation test nor the bit
+    budget needs R_k itself.
+
+    Before the loop, a binary search over the same bit lengths finds the least
+    k <= TAIL_K_CAP whose R_k breaks the budget.  If the lock fails there, it
+    fails at every smaller k too, so the loop could only end in that k's budget
+    refusal, which is raised at once.
+
+    Returns (upper, k_end): ``upper`` is a certified integer above every
+    violating d (1 if none exist), the ceiling of R_k at the last violating k,
+    since R_k is nondecreasing in k; ``k_end`` is the class the loop stopped at,
+    and no d of a larger omega can violate.
+    """
+    L, dL, dpL = _scaled_exponents(params)
+    D = params.D
+    budget = THRESHOLD_BIT_BUDGET * L
+    prime_floor = 3 * 2 ** -(-dpL // L)  # >= e * 2^delta', locks the induction
+
+    def bits(k: int) -> int:
+        return (max(k + 1, D) ** dL).bit_length() + (k + 1) * dpL
+
+    def locks(k: int) -> bool:
+        return (k + 1) * L >= dL and nth_prime(k + 1) >= prime_floor
+
+    if bits(TAIL_K_CAP) > budget:
+        lo, hi = 0, TAIL_K_CAP
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bits(mid) > budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        if not locks(lo):
+            raise _budget_error()
+    last_bad = -1
+    primorial_L = 1
     k = 0
     while True:
-        R_L = _kanold_rhs_powL(k, params.D, delta, delta_prime, L)
-        if R_L.bit_length() > THRESHOLD_BIT_BUDGET * L:
-            raise CapExceededError(
-                "threshold certificate exceeds the %d-bit budget" % THRESHOLD_BIT_BUDGET
-            )
-        rhs.append(R_L)
-        if primorial ** L < R_L:
-            upper = max(upper, ceil_root_fraction(R_L, 1, L))
-        elif k + 1 >= delta and nth_prime(k + 1) >= prime_floor:
+        a = max(k + 1, D) ** dL
+        e = (k + 1) * dpL
+        if a.bit_length() + e > budget:
+            raise _budget_error()
+        if primorial_L >> e < a:
+            last_bad = k
+        elif locks(k):
             break
         if k >= TAIL_K_CAP:
             raise CapExceededError(
                 "primorial tail scan exceeded %d primes" % TAIL_K_CAP, required=k
             )
         k += 1
-        primorial *= nth_prime(k)
-    return upper, rhs, L
+        primorial_L *= nth_prime(k) ** L
+    if last_bad < 0:
+        return 1, k
+    return ceil_root_fraction(_kanold_rhs_powL(last_bad, D, dL, dpL), 1, L), k
 
 
 def final_delta(params: BoundParams) -> int:
     """A verified order threshold: every d at or above it satisfies both
     Kanold-form inequalities, and the closed-form comparator is folded in.
 
-    When the certified violation region fits under ``THRESHOLD_SCAN_CAP`` it is
-    scanned exhaustively and the threshold is the exact minimal one; otherwise
-    the certificate's upper end is used directly (sufficient, not minimal).
+    ``_violation_region`` certifies the violation region by shift-compares and
+    refuses an over-budget region before its first big multiply.  When the
+    region fits under ``THRESHOLD_SCAN_CAP`` it is scanned exhaustively and the
+    threshold is the exact minimal one; the scan builds R_k^L on demand for the
+    few omega-classes below the cap (omega <= 7).  Otherwise the certificate's
+    upper end is used directly (sufficient, not minimal).
     """
     if params.Delta == 0:
         return 1
-    upper, rhs, L = _violation_region(params)
+    upper, k_end = _violation_region(params)
     if upper <= THRESHOLD_SCAN_CAP:
+        L, dL, dpL = _scaled_exponents(params)
+        rhs = {}
         last_bad = 0
         for d in range(1, upper):
             k = factorize(d).omega
-            if k < len(rhs) and d ** L < rhs[k]:
-                last_bad = d
+            if k <= k_end:
+                if k not in rhs:
+                    rhs[k] = _kanold_rhs_powL(k, params.D, dL, dpL)
+                if d ** L < rhs[k]:
+                    last_bad = d
         searched = last_bad + 1
     else:
         searched = upper
@@ -310,14 +375,10 @@ def final_delta(params: BoundParams) -> int:
 
 def threshold_inequalities_hold(d_value: int, omega: int, params: BoundParams) -> bool:
     """Exact check of both Kanold-form inequalities for a d of known omega."""
-    _, delta, delta_prime = exponent_constants(params.Delta, params.c, params.eps_slack)
-    L = lcm(delta.denominator, delta_prime.denominator)
+    L, dL, dpL = _scaled_exponents(params)
     lhs = d_value ** L
-    two_pow = 2 ** int((omega + 1) * delta_prime * L)
-    return (
-        lhs >= (omega + 1) ** int(delta * L) * two_pow
-        and lhs >= params.D ** int(delta * L) * two_pow
-    )
+    two_pow = 2 ** ((omega + 1) * dpL)
+    return lhs >= (omega + 1) ** dL * two_pow and lhs >= params.D ** dL * two_pow
 
 
 @dataclass(frozen=True)

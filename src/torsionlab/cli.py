@@ -448,6 +448,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # reports print integers of over a million bits; the digit limit is raised
+    # here, not at import, so importing torsionlab leaves the interpreter alone
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(2_000_000)
     ap = build_parser()
     args = ap.parse_args(argv)
     try:

@@ -7,13 +7,9 @@ emitted as a decimal string so downstream consumers never truncate.
 from __future__ import annotations
 
 import json
-import sys
 from fractions import Fraction
 
 SAFE_INT = 2 ** 53
-
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(2_000_000)
 
 
 def encode_int(v: int):

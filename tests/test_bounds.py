@@ -22,7 +22,7 @@ from torsionlab import bounds
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.integers import factorize, jacobsthal, nth_prime
 
-from oracles import nth_prime_by_sieve
+from oracles import final_delta_by_rk_list, nth_prime_by_sieve
 
 
 def P(D, Delta, c, d=1, p=0, **kw):
@@ -215,6 +215,76 @@ def test_final_delta_regression_pin_2_2_1():
     assert v == final_delta(P(2, 2, 1))  # deterministic
     digits = str(v)
     assert (digits[:12], len(digits), v.bit_length()) == ("461837142733", 162, 538)
+
+
+# every shape the R_k-list reference finishes in well under a second: the
+# 24 shapes (D, 2, 2) with eps of 1/3 or 2/5 take it 2 to 12 s each
+# (L = 3 and 5), and at Delta = 2, c = 3 it keeps tens of thousands of R_k
+FINAL_DELTA_GRID = [
+    (D, Delta, c, eps)
+    for D in range(1, 13)
+    for Delta in range(3)
+    for c in range(1, 4)
+    for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(2, 5))
+    if Delta < 2 or c == 1 or (c, eps) == (2, Fraction(1, 2))
+]
+
+
+def test_final_delta_matches_the_rk_list_reference():
+    assert len(FINAL_DELTA_GRID) == 264
+    for D, Delta, c, eps in FINAL_DELTA_GRID:
+        params = P(D, Delta, c, eps_slack=eps)
+        assert final_delta(params) == final_delta_by_rk_list(params), (D, Delta, c, eps)
+
+
+def _outcome(fn, params):
+    try:
+        return fn(params)
+    except CapExceededError as exc:
+        return str(exc), exc.required
+
+
+@pytest.mark.parametrize("budget", [64, 4096, 1 << 16])
+def test_final_delta_refusals_match_the_rk_list_reference(monkeypatch, budget):
+    # under small budgets the pre-check refuses where the reference's loop
+    # reaches its budget refusal, with the same message, and answers agree
+    import oracles
+
+    monkeypatch.setattr(bounds, "THRESHOLD_BIT_BUDGET", budget)
+    monkeypatch.setattr(oracles, "THRESHOLD_BIT_BUDGET", budget)
+    for D in (1, 10):
+        for Delta in (2, 3):
+            for c in (1, 2, 3):
+                params = P(D, Delta, c)
+                assert _outcome(final_delta, params) == _outcome(final_delta_by_rk_list, params)
+
+
+def test_over_budget_region_is_refused_before_the_loop(monkeypatch):
+    # (2, 3, 3) breaks the budget near k = 19 000, where the lock prime 3 * 2^108
+    # is out of reach: one nth_prime lookup, no primorial
+    looked_up = []
+    monkeypatch.setattr(bounds, "nth_prime", lambda k: looked_up.append(k) or nth_prime(k))
+    with pytest.raises(CapExceededError, match="2097152-bit budget"):
+        final_delta(P(2, 3, 3))
+    assert len(looked_up) == 1
+
+
+def test_final_delta_pin_10_2_2():
+    # the violation region's upper end at k = 1724 (delta' = 12)
+    v = final_delta(P(10, 2, 2))
+    assert v.bit_length() == 21002
+    assert hashlib.sha256(b"%x" % v).hexdigest() == (
+        "114544c514e04f46d599051aced1b71f46466262ce579a2d148c1e248098b839"
+    )
+
+
+def test_iterate_past_the_bit_budget_is_refused_before_it_is_built():
+    # f_3 at (2, 4, 3) has 1 429 772 bits, so f_4 has at least twice that
+    params = P(2, 4, 3)
+    assert iterated_f(params, 3).bit_length() == 1429772
+    with pytest.raises(CapExceededError, match="f_4 exceeds the 2097152-bit budget") as exc:
+        iterated_f(params, 4)
+    assert exc.value.required > bounds.THRESHOLD_BIT_BUDGET
 
 
 def test_power_form_check():

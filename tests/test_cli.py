@@ -287,6 +287,17 @@ def test_factoring_two_primes_near_2_to_32_within_a_cpu_second():
     assert json.loads(proc.stdout) == {"d": 18446743979220271189, "g": 3, "kanold": 4}
 
 
+@pytest.mark.parametrize("D, Delta, c", [(2, 3, 3), (2, 3, 1), (10, 3, 2), (5, 3, 1), (2, 4, 3)])
+def test_delta_bound_past_the_bit_budget_fails_fast(D, Delta, c):
+    # each took 0.2 to 0.45 CPU s on a 2-vCPU VM, interpreter start-up
+    # included; (2, 4, 3) is refused at its iterate f_4, the others at the
+    # violation region's pre-check
+    proc = _limited_child(["delta-bound", "--D", str(D), "--Delta", str(Delta), "--c", str(c)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cap-exceeded: ")
+
+
 def _unit(blocks, bi, i, j):
     return [[[int((k, a, b) == (bi, i, j)) for b in range(n)] for a in range(n)]
             for k, n in enumerate(blocks)]
@@ -426,16 +437,30 @@ def test_console_entrypoint_runs():
     assert json.loads(proc.stdout) == {"d": 12, "g": 4, "kanold": 4}
 
 
+def _importable_modules() -> list[str]:
+    import pkgutil
+
+    return ["torsionlab." + m.name for m in pkgutil.iter_modules(torsionlab.__path__)
+            if m.name != "__main__"]  # importing __main__ runs the CLI
+
+
 def test_every_module_imports_without_numpy():
     # numpy and sympy are test dependencies only; a child that cannot import
     # them must still import the whole package
-    import pkgutil
-
-    names = ["torsionlab." + m.name for m in pkgutil.iter_modules(torsionlab.__path__)
-             if m.name != "__main__"]  # importing __main__ runs the CLI
+    names = _importable_modules()
     assert "torsionlab.selfcheck" in names
     code = ("import sys\nsys.modules['numpy'] = sys.modules['sympy'] = None\nimport %s\n"
             % ", ".join(names))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+def test_importing_leaves_the_int_digit_limit_alone():
+    # only cli.main raises the interpreter's int/str digit limit
+    code = ("import sys\nbefore = sys.get_int_max_str_digits()\nimport %s\n"
+            "assert sys.get_int_max_str_digits() == before\n" % ", ".join(_importable_modules()))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr

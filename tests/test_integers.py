@@ -161,12 +161,16 @@ _PRIMES_BELOW_1000 = list(sympy.primerange(2, 1000))
 def _prime_sets(draw, primes):
     """(rad, d): at most 8 distinct primes with radical <= 10^7, each raised to
     an exponent of 1 to 3 in d.  A drawn prime that would push the radical past
-    10^7 is left out."""
+    10^7 is left out, and an exponent is lowered while it would leave d no
+    room under FACTOR_LIMIT for the radical still to come (d = rad fits)."""
     rad, d = 1, 1
     for p in draw(st.lists(st.sampled_from(primes), min_size=1, max_size=8, unique=True)):
         if rad * p <= 10 ** 7:
             rad *= p
-            d *= p ** draw(st.integers(1, 3))
+            e = draw(st.integers(1, 3))
+            while e > 1 and d * p ** e * (10 ** 7 // rad) > FACTOR_LIMIT:
+                e -= 1
+            d *= p ** e
     return rad, d
 
 
