@@ -61,30 +61,55 @@ def mat_scale(c, a: Matrix) -> Matrix:
     return tuple(tuple(c * x for x in row) for row in a)
 
 
+def _integral(row) -> list[int]:
+    """The row times the lcm of its denominators, as ints."""
+    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
+    den = 1
+    for x in row:
+        d = x.denominator
+        if d != 1:
+            den = den // gcd(den, d) * d
+    return [x.numerator * (den // x.denominator) for x in row]
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
 def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
     """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
 
     Over Q by default, with Fraction entries; with ``ell`` over F_ell, with
     int entries reduced into [0, ell).  Zero rows are dropped.  The result is
     the canonical basis of the row span, so equal spans give identical output.
+
+    One integer loop serves both fields (Bareiss, Math. Comp. 22 (1968)):
+    a row is cleared at a pivot p by p*row - a*prow, with no division.  Over
+    Q each row starts with its denominators cleared and is kept primitive
+    (its gcd content divided out after every step); over F_ell it is reduced
+    mod ell.  Each row is divided by its pivot once, at the end, so a
+    Fraction is built only for the output.
     """
     if ell is None:
-        m = [list(map(Fraction, r)) for r in rows]
+        m = [_primitive(_integral(r)) for r in rows]
+        zero = Fraction(0)
 
-        def normalised(row, p):
-            return [x / p for x in row]
+        def cleared(row, prow, p, a):
+            return _primitive([p * x - a * y for x, y in zip(row, prow)])
 
-        def reduced(row, f, prow):
-            return [x - f * y for x, y in zip(row, prow)]
+        def finish(row, p):
+            return [Fraction(x, p) if x else zero for x in row]
     else:
         m = [[x % ell for x in r] for r in rows]
 
-        def normalised(row, p):
+        def cleared(row, prow, p, a):
+            return [(p * x - a * y) % ell for x, y in zip(row, prow)]
+
+        def finish(row, p):
             inv = pow(p, -1, ell)
             return [x * inv % ell for x in row]
-
-        def reduced(row, f, prow):
-            return [(x - f * y) % ell for x, y in zip(row, prow)]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -95,24 +120,21 @@ def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
         if pr is None:
             continue
         m[r], m[pr] = m[pr], m[r]
-        m[r] = normalised(m[r], m[r][c])
+        prow = m[r]
+        p = prow[c]
         for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                m[i] = reduced(m[i], m[i][c], m[r])
+            a = m[i][c]
+            if a and i != r:
+                m[i] = cleared(m[i], prow, p, a)
         pivots.append(c)
         r += 1
         if r == len(m):
             break
-    return m[:r], pivots
+    return [finish(row, row[c]) for row, c in zip(m, pivots)], pivots
 
 
 def rank(rows, ell: int | None = None) -> int:
     return len(rref(rows, ell)[1])
-
-
-def span_contains(basis, vec) -> bool:
-    """True iff vec lies in the row span of basis (over the rationals)."""
-    return span_leq([vec], basis)
 
 
 def span_leq(sub, sup) -> bool:
@@ -312,11 +334,14 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of a non-negative integer, exactly.
 
-    Newton's iteration starts just above the root, from a float estimate of
-    log2(n)/k read off the top 64 bits of n and nudged upward by 2^-20
-    relative (far more than the estimate's error), so it decreases to the
+    Newton's iteration starts just above the root, so it decreases to the
     root quadratically; exact steps in both directions then fix the result
-    whatever the estimate was.
+    whatever the start was.  A root of at most 64 bits starts from a float
+    estimate of log2(n)/k read off the top 64 bits of n and nudged upward by
+    2^-20 relative (far more than the estimate's error).  A longer root of b
+    bits starts from (iroot(n >> k*s, k) + 1) << s with s = b // 2, which
+    exceeds the root and is right to about s bits, so each level of the
+    recursion doubles the precision and only the last one works at full size.
     """
     if n < 0 or k < 1:
         raise ValueError("iroot needs n >= 0, k >= 1")
@@ -326,11 +351,16 @@ def iroot(n: int, k: int) -> int:
         return n
     if n.bit_length() <= k:  # 1 <= n < 2^k
         return 1
-    shift = max(n.bit_length() - 64, 0)
-    e = (log2(n >> shift) + shift) / k
-    whole = int(e)
-    top = int(2.0 ** (e - whole) * (1 + 2.0 ** -20) * (1 << 53)) + 1  # > 2^(e - whole + 53)
-    x = top << (whole - 53) if whole >= 53 else (top >> (53 - whole)) + 1
+    root_bits = (n.bit_length() - 1) // k + 1
+    if root_bits > 64:
+        s = root_bits // 2
+        x = (iroot(n >> (k * s), k) + 1) << s
+    else:
+        shift = max(n.bit_length() - 64, 0)
+        e = (log2(n >> shift) + shift) / k
+        whole = int(e)
+        top = int(2.0 ** (e - whole) * (1 + 2.0 ** -20) * (1 << 53)) + 1  # > 2^(e - whole + 53)
+        x = top << (whole - 53) if whole >= 53 else (top >> (53 - whole)) + 1
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:

@@ -3,8 +3,8 @@
 These deliberately recompute everything from definitions with different
 algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
-meaningful.  The threshold certificate's reference is the library's earlier,
-direct algorithm instead, built on the same exponent constants.
+meaningful.  The threshold certificate's, the elimination's and the matrix-unit check's
+references are the library's earlier, direct algorithms instead.
 """
 
 from __future__ import annotations
@@ -22,9 +22,10 @@ from torsionlab.bounds import (
     closed_form_threshold,
     exponent_constants,
 )
-from torsionlab.errors import CapExceededError
+from torsionlab.algebras import AlgebraElement, SplitSemisimpleAlgebra
+from torsionlab.errors import CapExceededError, ValidationError
 from torsionlab.integers import factorize, nth_prime
-from torsionlab.linalg import ceil_root_fraction, lcm
+from torsionlab.linalg import ceil_root_fraction, identity, lcm, mat_add, mat_mul, zeros
 
 
 def jacobsthal_by_definition(d: int) -> int:
@@ -156,3 +157,122 @@ def final_delta_by_rk_list(params) -> int:
     else:
         searched = upper
     return max(searched, closed_form_threshold(params))
+
+
+# --- exact linear algebra and the matrix-unit check: the Fraction references ----------
+#
+# Elimination as it was first written, over Fractions with one division per
+# entry of each pivot row and one Fraction per elimination step; and the
+# representation and embedding checks as first written: every product of
+# two basis images compared, and injectivity decided by rank.  ``linalg.rref``
+# must return exactly what ``rref_by_fractions`` returns, and each
+# constructor must raise exactly when the ``*_error_by_reference`` function
+# names a message, with that message.
+
+
+def rref_by_fractions(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
+
+    Over Q by default, with Fraction entries; with ``ell`` over F_ell, with
+    int entries reduced into [0, ell).  Zero rows are dropped.
+    """
+    if ell is None:
+        m = [list(map(Fraction, r)) for r in rows]
+
+        def normalised(row, p):
+            return [x / p for x in row]
+
+        def reduced(row, f, prow):
+            return [x - f * y for x, y in zip(row, prow)]
+    else:
+        m = [[x % ell for x in r] for r in rows]
+
+        def normalised(row, p):
+            inv = pow(p, -1, ell)
+            return [x * inv % ell for x in row]
+
+        def reduced(row, f, prow):
+            return [(x - f * y) % ell for x, y in zip(row, prow)]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        m[r] = normalised(m[r], m[r][c])
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                m[i] = reduced(m[i], m[i][c], m[r])
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def check_matrix_units_all_pairs(alg: SplitSemisimpleAlgebra, images, mul, zero, what: str):
+    """Raise unless the images of the basis matrix units multiply like them.
+
+    Matrix units multiply to matrix units (or zero), so the check is an
+    index lookup per basis pair: e_ij * e_jk = e_ik, other products vanish.
+    """
+    idxs = list(alg.basis_indices())
+    index = {t: k for k, t in enumerate(idxs)}
+    for a, (b1, i1, j1) in enumerate(idxs):
+        for c, (b2, i2, j2) in enumerate(idxs):
+            expected = images[index[(b1, i1, j2)]] if b1 == b2 and j1 == i2 else zero
+            if mul(images[a], images[c]) != expected:
+                raise ValidationError("%s is not multiplicative" % what)
+
+
+def _unit_image(alg: SplitSemisimpleAlgebra, images, add, zero):
+    """The image of 1: the sum of the images of the diagonal matrix units."""
+    out = zero
+    for img, (_, i, j) in zip(images, alg.basis_indices()):
+        if i == j:
+            out = add(out, img)
+    return out
+
+
+def representation_error_by_reference(alg: SplitSemisimpleAlgebra, space_dim: int, images):
+    """The message ``Representation(alg, space_dim, images)`` must raise, or None."""
+    try:
+        if len(images) != alg.dim:
+            raise ValidationError("representation needs one matrix per basis element")
+        for m in images:
+            if len(m) != space_dim or any(len(r) != space_dim for r in m):
+                raise ValidationError("representation matrix of wrong shape")
+        zero = zeros(space_dim, space_dim)
+        if _unit_image(alg, images, mat_add, zero) != identity(space_dim):
+            raise ValidationError("representation is not unital")
+        check_matrix_units_all_pairs(alg, images, mat_mul, zero, "representation")
+        stacked = [[x for row in m for x in row] for m in images]
+        if len(rref_by_fractions(stacked)[1]) != alg.dim:
+            raise ValidationError("representation is not faithful")
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def embedding_error_by_reference(source: SplitSemisimpleAlgebra,
+                                 target: SplitSemisimpleAlgebra, images):
+    """The message ``AlgebraEmbedding(source, target, images)`` must raise, or None."""
+    try:
+        if len(images) != source.dim:
+            raise ValidationError("embedding needs one image per source basis element")
+        for img in images:
+            if img.parent != target:
+                raise ValidationError("embedding images live in the wrong algebra")
+        zero = target.zero()
+        if _unit_image(source, images, AlgebraElement.__add__, zero) != target.one():
+            raise ValidationError("embedding does not preserve the unit")
+        check_matrix_units_all_pairs(source, images, AlgebraElement.__mul__, zero, "embedding")
+        if len(rref_by_fractions([img.coords() for img in images])[1]) != source.dim:
+            raise ValidationError("embedding is not injective")
+    except ValidationError as exc:
+        return str(exc)
+    return None

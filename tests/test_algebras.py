@@ -1,7 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import (
+    embedding_error_by_reference,
+    representation_error_by_reference,
+    rref_by_fractions,
+)
+from torsionlab import linalg
 from torsionlab.algebras import (
     AlgebraElement,
     AlgebraEmbedding,
@@ -16,7 +24,7 @@ from torsionlab.algebras import (
     standard_representation,
 )
 from torsionlab.errors import ValidationError
-from torsionlab.linalg import span_leq
+from torsionlab.linalg import frac_rows, mat_mul, span_leq
 
 
 def M2():
@@ -82,6 +90,155 @@ def test_embedding_rejection_branches(values, message):
     images = tuple(Q.from_coords([x]) for x in values)
     with pytest.raises(ValidationError, match="^%s$" % message):
         AlgebraEmbedding(SplitSemisimpleAlgebra((1, 1)), Q, images)
+
+
+# --- the matrix-unit check against the all-pairs reference ------------------------
+
+# algebras of dimension <= 11, as in the benchmark pairs
+_blocks = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+    lambda b: sum(n * n for n in b) <= 11)
+
+
+def _error(build):
+    try:
+        build()
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+def _conjugator(draw, n):
+    """A random g with det 1 (unit lower times unit upper triangular) and its inverse."""
+    def unit_triangular(lower):
+        return frac_rows([[1 if i == j else draw(st.integers(-3, 3)) if (j < i) == lower else 0
+                           for j in range(n)] for i in range(n)])
+    g = mat_mul(unit_triangular(True), unit_triangular(False))
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    return g, tuple(tuple(row[n:]) for row in rref_by_fractions(aug)[0])
+
+
+def _mutated(draw, blocks, images, zero):
+    """images (each a tuple of matrices) with one entry changed, two images
+    swapped, one block's images zeroed, or unchanged."""
+    images = list(images)
+    kind = draw(st.sampled_from(("none", "entry", "entry", "swap", "zero_block")))
+    if kind == "entry":
+        k = draw(st.integers(0, len(images) - 1))
+        t = draw(st.integers(0, len(images[k]) - 1))
+        mat = [list(row) for row in images[k][t]]
+        i, j = draw(st.integers(0, len(mat) - 1)), draw(st.integers(0, len(mat) - 1))
+        mat[i][j] += draw(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-7, 3), 10 ** 20)))
+        images[k] = images[k][:t] + (frac_rows(mat),) + images[k][t + 1:]
+    elif kind == "swap" and len(images) > 1:
+        a, b = draw(st.lists(st.integers(0, len(images) - 1), min_size=2, max_size=2,
+                             unique=True))
+        images[a], images[b] = images[b], images[a]
+    elif kind == "zero_block":
+        b = draw(st.integers(0, len(blocks) - 1))
+        start = sum(n * n for n in blocks[:b])
+        images[start:start + blocks[b] ** 2] = [zero] * blocks[b] ** 2
+    return images
+
+
+@settings(max_examples=250)
+@given(_blocks, st.data())
+def test_representation_check_matches_the_all_pairs_reference(blocks, data):
+    draw = data.draw
+    # a block that acts as zero keeps the map unital and multiplicative but
+    # not faithful; otherwise the start is the standard representation
+    acting = [draw(st.integers(0, 3)) > 0 for _ in blocks]
+    if not any(acting):
+        acting[0] = True
+    A = SplitSemisimpleAlgebra(tuple(blocks))
+    acting_alg = SplitSemisimpleAlgebra(tuple(n for n, on in zip(blocks, acting) if on))
+    s = sum(acting_alg.blocks)
+    std = iter(standard_representation(acting_alg).images)
+    zero = linalg.zeros(s, s)
+    images = [next(std) if on else zero for n, on in zip(blocks, acting) for _ in range(n * n)]
+    if draw(st.booleans()):  # conjugated by a random P, as user_rep requests are
+        P, P_inv = _conjugator(draw, s)
+        images = [mat_mul(mat_mul(P, m), P_inv) for m in images]
+    images = [m for (m,) in _mutated(draw, blocks, [(m,) for m in images], (zero,))]
+    expected = representation_error_by_reference(A, s, images)
+    assert _error(lambda: Representation(A, s, tuple(images))) == expected
+
+
+@settings(max_examples=250)
+@given(_blocks, st.data())
+def test_embedding_check_matches_the_all_pairs_reference(blocks, data):
+    draw = data.draw
+    M = SplitSemisimpleAlgebra(tuple(blocks))
+    k = len(blocks)
+    # each target block stacks source blocks up to size 4; a source block
+    # placed in no target block maps to zero, and the map is not injective
+    assignment = []
+    for lst in draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=3),
+                             min_size=1, max_size=2)):
+        while sum(blocks[i] for i in lst) > 4:
+            lst.pop()
+        assignment.append(lst)
+    N = SplitSemisimpleAlgebra(tuple(sum(blocks[i] for i in lst) for lst in assignment))
+    placed = {i: t for t, i in enumerate(sorted({i for lst in assignment for i in lst}))}
+    sub = SplitSemisimpleAlgebra(tuple(blocks[i] for i in placed))
+    sub_images = iter(diagonal_embedding(sub, N, [[placed[i] for i in lst]
+                                                  for lst in assignment]).images)
+    zero = N.zero().data
+    images = [next(sub_images).data if i in placed else zero
+              for i, n in enumerate(blocks) for _ in range(n * n)]
+    if draw(st.booleans()):  # conjugated per target block, as the lift requests are
+        gs = [_conjugator(draw, n) for n in N.blocks]
+        images = [tuple(mat_mul(mat_mul(g, m), g_inv) for m, (g, g_inv) in zip(img, gs))
+                  for img in images]
+    images = _mutated(draw, blocks, images, zero)
+    elems = tuple(AlgebraElement(N, img) for img in images)
+    expected = embedding_error_by_reference(M, N, elems)
+    assert _error(lambda: AlgebraEmbedding(M, N, elems)) == expected
+
+
+def test_checks_need_the_products_of_row_by_column_images():
+    # M2 -> Q with e11 -> 1, e12 -> 1, e21 -> 0, e22 -> 0: unital, and every
+    # F_i * G_j = phi(e_ij) holds, but G_2 * F_2 = phi(e12) * phi(e21) = 0
+    # differs from phi(e11) = 1; the space is too small for M2 to act on it
+    A = M2()
+    images = scalars(1, 1, 0, 0)
+    expected = "representation is not multiplicative"
+    assert representation_error_by_reference(A, 1, images) == expected
+    assert _error(lambda: Representation(A, 1, images)) == expected
+    Q = SplitSemisimpleAlgebra((1,))
+    elems = tuple(Q.from_coords([x]) for x in (1, 1, 0, 0))
+    expected = "embedding is not multiplicative"
+    assert embedding_error_by_reference(A, Q, elems) == expected
+    assert _error(lambda: AlgebraEmbedding(A, Q, elems)) == expected
+
+
+def _counting(monkeypatch, owner, name, calls):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[name] += 1
+        return real(*args, **kwargs)
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_representation_check_makes_2dim_plus_k_k_minus_1_products(monkeypatch):
+    A = SplitSemisimpleAlgebra((3, 1, 1))
+    images = standard_representation(A).images
+    calls = {"mat_mul": 0, "rank": 0}
+    _counting(monkeypatch, linalg, "mat_mul", calls)
+    _counting(monkeypatch, linalg, "rank", calls)
+    Representation(A, 5, images)
+    assert calls == {"mat_mul": 2 * 11 + 3 * 2, "rank": 0}
+
+
+def test_embedding_check_makes_2dim_plus_k_k_minus_1_products(monkeypatch):
+    M = SplitSemisimpleAlgebra((3, 1, 1))
+    N = SplitSemisimpleAlgebra((3, 2))
+    images = diagonal_embedding(M, N, [[0], [1, 2]]).images
+    calls = {"__mul__": 0, "rank": 0}
+    _counting(monkeypatch, AlgebraElement, "__mul__", calls)
+    _counting(monkeypatch, linalg, "rank", calls)
+    AlgebraEmbedding(M, N, images)
+    assert calls == {"__mul__": 2 * 11 + 3 * 2, "rank": 0}
 
 
 # --- right ideal generator -------------------------------------------------------

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import rref_by_fractions
 from torsionlab.bounds import _prime_upper
 from torsionlab.cosets import (
     ModelAmbient,
@@ -29,7 +30,6 @@ from torsionlab.linalg import (
     rref,
     smith_normal_form,
     solve,
-    span_contains,
     span_intersect,
     span_leq,
     span_points,
@@ -72,6 +72,15 @@ def test_iroot_at_exact_powers(k):
             assert iroot(n, k) == _iroot_by_bisection(n, k)
 
 
+def test_iroot_matches_bisection_at_500k_bits():
+    # a 125-bit root: the start comes from one level of recursion on the
+    # top 252 000 bits, whose own 63-bit root starts from the float estimate
+    import random
+
+    n = random.Random(3).getrandbits(500_000) | 1 << 499_999
+    assert iroot(n, 4000) == _iroot_by_bisection(n, 4000)
+
+
 @given(st.integers(0, 10 ** 24), st.integers(1, 10))
 def test_ceil_root(n, k):
     r = ceil_root(n, k)
@@ -108,7 +117,7 @@ def test_rref_idempotent_and_span_stable(rows):
     base2, piv2 = rref(base1)
     assert base1 == base2 and piv1 == piv2
     for r in rows:
-        assert span_contains(base1, r)
+        assert span_leq([r], base1)
 
 
 def _naive_product(a, b):
@@ -170,6 +179,48 @@ def test_rref_mod_ell_against_brute_force(data):
     assert len(combos) == ell ** len(base)
 
 
+_big = st.integers(-10 ** 30, 10 ** 30)
+_q_entries = st.one_of(
+    st.just(0), st.integers(-3, 3), _big,
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, _big, st.integers(1, 10 ** 20)),
+)
+
+
+@st.composite
+def _matrices(draw, entries):
+    """Rows of one length (0 to 8 rows, 1 to 8 columns), some of them zero
+    rows and some duplicates of earlier rows."""
+    ncols = draw(st.integers(1, 8))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(st.one_of(row, st.just([0] * ncols)), max_size=8))
+    for _ in range(draw(st.integers(0, 2)) if rows else 0):
+        rows.insert(draw(st.integers(0, len(rows))), list(draw(st.sampled_from(rows))))
+    return rows[:8]
+
+
+@settings(max_examples=300)
+@given(_matrices(_q_entries))
+def test_rref_over_q_matches_the_fraction_reference(rows):
+    base, pivots = rref(rows)
+    assert (base, pivots) == rref_by_fractions(rows)
+    assert all(type(x) is Fraction for r in base for x in r)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from((2, 3, 5, 7, 101, 2 ** 61 - 1)), _matrices(st.one_of(st.just(0), _big)))
+def test_rref_over_f_ell_matches_the_fraction_reference(ell, rows):
+    assert rref(rows, ell) == rref_by_fractions(rows, ell)
+
+
+def test_rref_edge_shapes():
+    assert rref([]) == rref_by_fractions([]) == ([], [])
+    for rows in ([[0, 0, 0]], [[0, Fraction(-7, 3), 5]], [[Fraction(10 ** 40, 3)]]):
+        assert rref(rows) == rref_by_fractions(rows)
+    for rows in ([[0, 0, 0]], [[0, -7, 5]], [[10 ** 40]], [[5, 10]]):
+        assert rref(rows, 5) == rref_by_fractions(rows, 5)
+
+
 def _leibniz_det(m):
     n = len(m)
     total = 0
@@ -222,8 +273,8 @@ def test_span_intersect_is_the_intersection(a, b):
     # any vector in both spans is in the intersection span
     for coeffs in itertools.product((-1, 0, 1), repeat=len(a)):
         v = [sum(c * row[j] for c, row in zip(coeffs, a)) for j in range(3)]
-        if span_contains(b, v):
-            assert span_contains(inter, v)
+        if span_leq([v], b):
+            assert span_leq([v], inter)
 
 
 @settings(max_examples=150)
