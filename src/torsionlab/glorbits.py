@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import isqrt
-from operator import and_, mul
+from operator import and_, itemgetter, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .linalg import free_summand_bases, rank, rref, span_points
@@ -24,19 +25,33 @@ SUBSPACE_LATTICE_CAP = 3125  # 5^5
 #: group closure gives up past this many elements
 GROUP_SIZE_CAP = 200_000
 
+#: a group builds its permutation table only when order * ell^dim is at most
+#: this many entries (about 32 MiB of pointers); above it, images are products
+GROUP_TABLE_CAP = 1 << 22
+
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
 
 
-def _mat_mul(a: Mat, b: Mat, ell: int) -> Mat:
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(mul, row, col)) % ell for col in bt) for row in a
-    )
-
-
 def _mat_vec(a: Mat, v: Vec, ell: int) -> Vec:
     return tuple(sum(map(mul, row, v)) % ell for row in a)
+
+
+def _point_index(v: Vec, ell: int) -> int:
+    """Position of v (coordinates in [0, ell)) among the points of F_ell^dim
+    in product order, the order of ``itertools.product(range(ell), repeat=dim)``."""
+    i = 0
+    for x in v:
+        i = i * ell + x
+    return i
+
+
+def _point_mask(points, ell: int) -> int:
+    """The bitmask over point indices with the bits of ``points`` set."""
+    mask = 0
+    for p in points:
+        mask |= 1 << _point_index(p, ell)
+    return mask
 
 
 def _identity(n: int) -> Mat:
@@ -47,9 +62,10 @@ def _identity(n: int) -> Mat:
 class Subspace:
     """A subspace of F_ell^dim, canonicalized by its reduced echelon basis.
 
-    Membership is a lookup in the point set, built on first use and kept on
-    the instance; every entry of the cached ``all_subspaces`` lattice builds
-    it at most once.
+    Membership is a lookup in the point set; inclusion and intersection
+    counts read ``mask``, the point set as a bitmask over point indices.
+    Both are built on first use and kept on the instance; every entry of the
+    cached ``all_subspaces`` lattice builds each at most once.
     """
 
     ell: int
@@ -69,6 +85,11 @@ class Subspace:
             object.__setattr__(self, "_points", pts)
         return self._points
 
+    @cached_property
+    def mask(self) -> int:
+        """Bit i is set iff the i-th point of F_ell^dim in product order lies here."""
+        return _point_mask(self.points(), self.ell)
+
     def contains(self, v: Vec) -> bool:
         """Whether v lies in the subspace; coordinates are taken mod ell."""
         pts = self.points()
@@ -76,8 +97,7 @@ class Subspace:
         return v in pts or tuple(x % self.ell for x in v) in pts
 
     def leq(self, other: "Subspace") -> bool:
-        pts = other.points()
-        return all(row in pts for row in self.basis)
+        return self.mask & ~other.mask == 0
 
 
 def subspace_from_vectors(vectors, ell: int, ambient_dim: int) -> Subspace:
@@ -112,30 +132,82 @@ def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}
 class MatrixGroup:
     """A subgroup of GL_dim(F_ell), fully materialized.
 
+    ``links`` holds, for every element after the identity, the (parent index,
+    generator index) of the closure step that found it: elements[k] =
+    elements[parent] * generators[gen].
+
     ``images(v)`` memoises the tuple of g*v over ``elements``, in that order,
     for every reduced vector v asked about: orbits, stabilizers and the
     witness search of one group share it.  The memo holds at most ell^dim
-    tuples of ``order`` vectors and lives as long as the group.
+    tuples of ``order`` vectors and lives as long as the group.  On the first
+    call the group also builds its permutation table, one permutation of the
+    ell^dim point indices (product order) per element, in element order:
+    perm_k = perm_parent o perm_gen along the links.  An image is then a list
+    lookup.  The table holds order * ell^dim indices and is built only when
+    that is at most ``GROUP_TABLE_CAP``; above it, images are computed as
+    matrix-vector products.
     """
 
     ell: int
     dim: int
     generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
+    links: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
     _images: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+    # (points, permutations) once built; () when over GROUP_TABLE_CAP
+    _table: tuple | None = field(
+        default=None, init=False, repr=False, compare=False, hash=False
     )
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    def _permutation_table(self) -> tuple:
+        if self._table is None:
+            ell = self.ell
+            if self.order * ell ** self.dim > GROUP_TABLE_CAP:
+                table = ()
+            else:
+                points = list(itertools.product(range(ell), repeat=self.dim))
+                compose = [
+                    itemgetter(*[_point_index(_mat_vec(s, p, ell), ell) for p in points])
+                    for s in self.generators
+                ]
+                perms = [tuple(range(len(points)))]
+                for parent, gen in self.links:
+                    perms.append(compose[gen](perms[parent]))
+                table = (points, perms)
+            object.__setattr__(self, "_table", table)
+        return self._table
+
     def images(self, v: Vec) -> tuple[Vec, ...]:
         """(g*v for g in elements) for v with coordinates in [0, ell)."""
         out = self._images.get(v)
         if out is None:
-            out = tuple(_mat_vec(g, v, self.ell) for g in self.elements)
+            table = self._permutation_table()
+            if table:
+                points, perms = table
+                i = _point_index(v, self.ell)
+                out = tuple([points[perm[i]] for perm in perms])
+            else:
+                out = tuple(_mat_vec(g, v, self.ell) for g in self.elements)
             self._images[v] = out
+        return out
+
+
+class _RowTimes(dict):
+    """row -> row * m over F_ell, computed on first lookup and kept."""
+
+    def __init__(self, m: Mat, ell: int):
+        super().__init__()
+        self.cols = tuple(zip(*m))
+        self.ell = ell
+
+    def __missing__(self, row: Vec) -> Vec:
+        out = self[row] = tuple(sum(map(mul, row, col)) % self.ell for col in self.cols)
         return out
 
 
@@ -144,7 +216,9 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
 
     In the finite ambient GL the semigroup closure of invertible generators
     is already the group (inverses arise as powers), so multiplying by
-    generators suffices.
+    generators suffices.  Each row of x*s is the matching row of x times s,
+    so every generator keeps a memo from row to row*s and a product is dim
+    lookups; a memo holds at most min(ell^dim, dim * order) rows.
     """
     if ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
         raise ValidationError("ell must be prime, got %r" % (ell,))
@@ -158,25 +232,25 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
         if rank(m, ell) != dim:
             raise ValidationError("singular generator %r mod %d" % (gmat, ell))
         norm.append(m)
+    times = [_RowTimes(m, ell).__getitem__ for m in norm]
     ident = _identity(dim)
     seen = {ident}
     order = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for gmat in norm:
-                y = _mat_mul(x, gmat, ell)
-                if y not in seen:
-                    seen.add(y)
-                    order.append(y)
-                    nxt.append(y)
-                    if len(seen) > cap:
-                        raise CapExceededError(
-                            "group closure exceeded cap %d" % cap, required=len(seen)
-                        )
-        frontier = nxt
-    return MatrixGroup(ell, dim, tuple(norm), tuple(order))
+    links = []
+    # a queue over ``order`` visits the elements level by level, in the order
+    # they were found; the loop reaches the elements appended inside it
+    for i, x in enumerate(order):
+        for k, row_times in enumerate(times):
+            y = tuple(map(row_times, x))
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+                links.append((i, k))
+                if len(seen) > cap:
+                    raise CapExceededError(
+                        "group closure exceeded cap %d" % cap, required=len(seen)
+                    )
+    return MatrixGroup(ell, dim, tuple(norm), tuple(order), tuple(links))
 
 
 def orbit(G: MatrixGroup, a) -> frozenset[Vec]:
@@ -208,14 +282,13 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
     """
     orb = orbit(G, a) if _orb is None else _orb
     den = len(orb)
-    candidates = [W for W in all_subspaces(G.ell, G.dim) if W.leq(V)]
-    hits = {W: len(orb & W.points()) for W in candidates}
-    if not orb & V.points():
+    orb_mask = _point_mask(orb, G.ell)
+    if not orb_mask & V.mask:
         raise ValidationError("orbit density in V is zero")
     best = None
-    for W in candidates:
-        n = hits[W]
-        if n == 0:
+    for W in all_subspaces(G.ell, G.dim):
+        n = (orb_mask & W.mask).bit_count()
+        if n == 0 or not W.leq(V):
             continue
         e = 4 ** W.dim  # cleared exponent: eps(W)^(4^dim W) after scaling
         if best is None:
@@ -234,12 +307,18 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
     return W
 
 
-def stabilizer(G: MatrixGroup, W: Subspace) -> tuple[Mat, ...]:
-    """Elements with g*W = W, by the direct image test on the basis."""
+def stabilizer(G: MatrixGroup, W: Subspace, _keep: list | None = None) -> tuple[Mat, ...]:
+    """Elements with g*W = W, by the direct image test on the basis.
+
+    A list passed as ``_keep`` receives the keep-mask over ``G.elements``.
+    """
     inside = W.points().__contains__
     keep = [True] * G.order
     for row in W.basis:
         keep = map(and_, keep, map(inside, G.images(row)))
+    keep = list(keep)
+    if _keep is not None:
+        _keep[:] = keep
     return tuple(itertools.compress(G.elements, keep))
 
 
@@ -277,7 +356,8 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
         )
     W = extremal_subspace(G, a, V, _orb=orb)
     eps_w = Fraction(len(orb & W.points()), len(orb))
-    stab = stabilizer(G, W)
+    keep: list[bool] = []
+    stab = stabilizer(G, W, keep)
     index = len(G.elements) // len(stab)
     bound = 3 * C ** (4 ** V.dim)
     ok = Fraction(index) <= bound
@@ -292,9 +372,8 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
     if witness is None:
         raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
     # the witness orbit H*g*a stays inside W because H stabilizes W; checked
-    for h in stab:
-        if not W.contains(_mat_vec(h, ga, G.ell)):
-            raise InternalCheckError("stabilizer orbit escaped W")
+    if not all(map(in_w.__contains__, itertools.compress(G.images(ga), keep))):
+        raise InternalCheckError("stabilizer orbit escaped W")
     return OrbitDensityReport(
         orbit=orb,
         V=V,

@@ -3,15 +3,17 @@
 These deliberately recompute everything from definitions with different
 algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
-meaningful.  The threshold certificate's, the elimination's and the matrix-unit check's
-references are the library's earlier, direct algorithms instead.
+meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's and
+the group closure's references are the library's earlier, direct algorithms
+instead.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
+from operator import mul
 
 import numpy as np
 
@@ -24,26 +26,41 @@ from torsionlab.bounds import (
 )
 from torsionlab.algebras import AlgebraElement, SplitSemisimpleAlgebra
 from torsionlab.errors import CapExceededError, ValidationError
+from torsionlab.glorbits import GROUP_SIZE_CAP
 from torsionlab.integers import factorize, nth_prime
-from torsionlab.linalg import ceil_root_fraction, identity, lcm, mat_add, mat_mul, zeros
+from torsionlab.linalg import ceil_root_fraction, identity, lcm, mat_add, mat_mul, rank, zeros
 
 
-def jacobsthal_by_definition(d: int) -> int:
+def jacobsthal_by_definition(d: int, window: int = 1 << 16) -> int:
     """Smallest M such that every window of M consecutive integers in
     [1, d + M] contains an integer coprime to d, straight from the quantifiers.
 
     For each window start x the window [x, x + M - 1] contains a coprime iff
     the distance from x to the next coprime is < M; window starts repeat with
-    period d, so x ranges over one period.
+    period d, so x ranges over one period, [1, d + 1].  The largest distance
+    is taken at x = c + 1 for a coprime c <= d, and it is c' - c - 1 for the
+    next coprime c'.  So M is the largest step c' - c between consecutive
+    coprimes with c <= d.  The integers up to 2d + 1 are scanned in blocks
+    of ``window``, keeping only the last coprime of the block before, and the
+    scan stops once that coprime passes d (d + 1 is always coprime to d).
     """
     if d == 1:
         return 1
-    n = 2 * d + 1
-    ar = np.gcd(np.arange(1, n + 1, dtype=np.int64), d)
-    pos = np.where(ar == 1, np.arange(n), np.int64(1) << 40)
-    next_coprime = np.minimum.accumulate(pos[::-1])[::-1]
-    dist = next_coprime[: d + 1] - np.arange(d + 1)
-    return int(dist.max()) + 1
+    best = 0
+    last = 1  # 1 is coprime to every d
+    for lo in range(2, 2 * d + 2, window):
+        xs = np.arange(lo, min(lo + window, 2 * d + 2), dtype=np.int64)
+        coprimes = xs[np.gcd(xs, d) == 1]
+        if not coprimes.size:
+            continue
+        starts = np.concatenate(([last], coprimes[:-1]))
+        steps = (coprimes - starts)[starts <= d]
+        if steps.size:
+            best = max(best, int(steps.max()))
+        last = int(coprimes[-1])
+        if last > d:
+            break
+    return best
 
 
 def sieve_upto(limit: int) -> list[int]:
@@ -276,3 +293,53 @@ def embedding_error_by_reference(source: SplitSemisimpleAlgebra,
     except ValidationError as exc:
         return str(exc)
     return None
+
+
+# --- group closure: the matrix-product reference --------------------------------------
+#
+# The closure as it was first written: every element times every generator
+# is a full matrix product.  ``glorbits.generate_group`` must return exactly
+# these elements, in this order, and refuse exactly where this refuses, with
+# the same ``required``.
+
+
+def _mat_mul(a, b, ell: int):
+    bt = tuple(zip(*b))
+    return tuple(
+        tuple(sum(map(mul, row, col)) % ell for col in bt) for row in a
+    )
+
+
+def group_elements_by_products(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP):
+    """Breadth-first closure of the generators by matrix products; the elements."""
+    if ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
+        raise ValidationError("ell must be prime, got %r" % (ell,))
+    if dim < 1:
+        raise ValidationError("dim must be positive")
+    norm = []
+    for gmat in gens:
+        m = tuple(tuple(int(x) % ell for x in row) for row in gmat)
+        if len(m) != dim or any(len(row) != dim for row in m):
+            raise ValidationError("generator of wrong shape for dim %d" % dim)
+        if rank(m, ell) != dim:
+            raise ValidationError("singular generator %r mod %d" % (gmat, ell))
+        norm.append(m)
+    ident = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
+    seen = {ident}
+    order = [ident]
+    frontier = [ident]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for gmat in norm:
+                y = _mat_mul(x, gmat, ell)
+                if y not in seen:
+                    seen.add(y)
+                    order.append(y)
+                    nxt.append(y)
+                    if len(seen) > cap:
+                        raise CapExceededError(
+                            "group closure exceeded cap %d" % cap, required=len(seen)
+                        )
+        frontier = nxt
+    return tuple(order)

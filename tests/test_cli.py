@@ -136,6 +136,60 @@ def test_gl_verify_command(tmp_path, capsys):
     assert doc["stab_index"] <= 2
 
 
+#: gl-verify inputs with their stdout, byte for byte, as the matrix-product
+#: implementation printed it: a transposition on F_3^2, a conjugate of
+#: GL_2(F_5) x 1 (order 480) in GL_3(F_5), and a conjugate of AGL_2(F_3)
+#: (order 432) in GL_3(F_3)
+GL_VERIFY_PINNED = [
+    ({"ell": 3, "dim": 2, "generators": [[[0, 1], [1, 0]]], "a": [1, 0], "V": [[1, 0]],
+      "C": [2, 1]},
+     '{"W_basis":[[1,0]],"bound":[48,1],"bound_ok":true,"dim":2,"ell":3,"epsilon_V":[1,2],'
+     '"epsilon_W":[1,2],"group_order":2,"orbit_size":2,"stab_index":2,"stabilizer_order":1,'
+     '"witness_g":[[1,0],[0,1]]}\n'),
+    ({"ell": 5, "dim": 3,
+      "generators": [[[4, 2, 1], [1, 0, 2], [4, 1, 4]], [[0, 0, 3], [1, 2, 2], [3, 2, 2]]],
+      "a": [1, 2, 2], "V": [[1, 2, 2], [1, 0, 0]]},
+     '{"W_basis":[[0,1,1]],"bound":["36349724372835319676928",152587890625],"bound_ok":true,'
+     '"dim":3,"ell":5,"epsilon_V":[5,24],"epsilon_W":[1,24],"group_order":480,"orbit_size":24,'
+     '"stab_index":24,"stabilizer_order":20,"witness_g":[[4,2,1],[0,3,0],[2,2,0]]}\n'),
+    ({"ell": 3, "dim": 3,
+      "generators": [[[0, 0, 2], [2, 0, 0], [2, 2, 1]], [[1, 1, 2], [2, 1, 0], [2, 0, 1]]],
+      "a": [2, 1, 0], "V": [[2, 1, 0], [0, 1, 0]], "C": [9, 1]},
+     '{"W_basis":[[0,1,0]],"bound":[5559060566555523,1],"bound_ok":true,"dim":3,"ell":3,'
+     '"epsilon_V":[1,3],"epsilon_W":[1,9],"group_order":432,"orbit_size":9,"stab_index":9,'
+     '"stabilizer_order":48,"witness_g":[[0,0,2],[2,0,0],[2,2,1]]}\n'),
+]
+
+
+@pytest.mark.parametrize("payload, stdout", GL_VERIFY_PINNED)
+def test_gl_verify_stdout_is_pinned(tmp_path, capsys, payload, stdout):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["gl-verify", "--input", str(path)], capsys)
+    assert (code, out, err) == (0, stdout, "")
+
+
+def test_gl_verify_past_the_group_table_cap_answers(tmp_path):
+    # SL_2(F_13) x 1 in GL_3(F_13): 2184 elements on 13^3 = 2197 points is past
+    # GROUP_TABLE_CAP, so images are matrix-vector products; the answer is the
+    # matrix-product implementation's, byte for byte (0.4 CPU s on a 2-vCPU VM)
+    from torsionlab.glorbits import GROUP_TABLE_CAP
+
+    assert 2184 * 13 ** 3 > GROUP_TABLE_CAP
+    path = tmp_path / "sl2f13.json"
+    path.write_text(json.dumps({
+        "ell": 13, "dim": 3,
+        "generators": [[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [1, 1, 0], [0, 0, 1]]],
+        "a": [1, 0, 1], "V": [[1, 0, 0], [0, 0, 1]]}))
+    proc = _limited_child(["gl-verify", "--input", str(path)], cpu_seconds=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"W_basis":[[1,0,1]],"bound":["6533860013428113408",1],"bound_ok":true,"dim":3,'
+        '"ell":13,"epsilon_V":[1,14],"epsilon_W":[1,168],"group_order":2184,"orbit_size":168,'
+        '"stab_index":168,"stabilizer_order":13,"witness_g":[[1,0,0],[0,1,0],[0,0,1]]}\n'
+    )
+
+
 def test_gl_verify_rejects_unknown_fields(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"ell": 3, "dim": 1, "generators": [],

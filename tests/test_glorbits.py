@@ -296,3 +296,164 @@ def matmul_rows(a, b, ell):
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) % ell for col in bt) for row in a
     )
+
+
+# --- closure by row memo, permutation table and masks against their references -------
+
+
+def _c6_draws(seed):
+    """Every (generators, ell, dim) that criterion 6 draws at ``seed``, in its
+    order, with the closure outcome that drives its loop taken from the
+    product reference: the elements, or the ``required`` of a refusal."""
+    import random
+
+    from oracles import group_elements_by_products
+
+    from torsionlab.selfcheck import _random_gl_generators
+
+    rng = random.Random(seed)
+    seen = set()
+    for ell in (2, 3, 5):
+        for dim in (1, 2, 3):
+            made = tries = 0
+            while made < (6 if dim == 1 else 40) and tries < 800:
+                tries += 1
+                gens = _random_gl_generators(rng, ell, dim, rng.randrange(1, 3))
+                try:
+                    outcome = group_elements_by_products(gens, ell, dim, cap=1500)
+                except CapExceededError as exc:
+                    yield gens, ell, dim, exc.required
+                    continue
+                yield gens, ell, dim, outcome
+                if frozenset(outcome) not in seen:
+                    seen.add(frozenset(outcome))
+                    made += 1
+
+
+def _closure_outcome(gens, ell, dim, cap):
+    try:
+        return generate_group(gens, ell, dim, cap=cap).elements
+    except CapExceededError as exc:
+        return exc.required
+
+
+def _mid_group_requests():
+    """The benchmark's two fixed mid-sized orbit-density requests (orders 480
+    and 432) at seeds 0 and 1."""
+    import os
+    import sys
+
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import gen
+
+    return [r for seed in (0, 1) for r in gen.finite_models(seed)
+            if r["kind"] == "orbit_density" and r["dim"] == 3 and r["ell"] > 2
+            and len(r["gens"]) == 2 and not gen.closure_exceeds(r["gens"], r["ell"], 1500)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_generate_group_matches_the_product_reference_on_c6_draws(seed):
+    draws = refusals = 0
+    for gens, ell, dim, expected in _c6_draws(seed):
+        assert _closure_outcome(gens, ell, dim, 1500) == expected, (gens, ell, dim)
+        draws += 1
+        refusals += isinstance(expected, int)
+    assert draws > 1000 and refusals > 0
+
+
+def test_generate_group_matches_the_product_reference_on_the_mid_groups():
+    from oracles import group_elements_by_products
+
+    reqs = _mid_group_requests()
+    assert sorted((r["ell"], len(generate_group(r["gens"], r["ell"], 3).elements))
+                  for r in reqs) == [(3, 432), (3, 432), (5, 480), (5, 480)]
+    for r in reqs:
+        assert generate_group(r["gens"], r["ell"], 3).elements == \
+            group_elements_by_products(r["gens"], r["ell"], 3)
+        # a cap inside the closure refuses at the same element
+        for cap in (1, 100, 431):
+            with pytest.raises(CapExceededError) as ref:
+                group_elements_by_products(r["gens"], r["ell"], 3, cap=cap)
+            assert _closure_outcome(r["gens"], r["ell"], 3, cap) == ref.value.required == cap + 1
+
+
+def test_group_links_rebuild_the_elements():
+    from oracles import _mat_mul
+
+    G = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
+    assert len(G.links) == G.order - 1
+    for k, (parent, gen) in enumerate(G.links, start=1):
+        assert parent < k
+        assert G.elements[k] == _mat_mul(G.elements[parent], G.generators[gen], 3)
+
+
+def _small_groups():
+    return [
+        generate_group([[[2]]], 5, 1),
+        generate_group([], 3, 2),
+        generate_group([[[0, 1], [1, 0]], [[2, 0], [0, 2]]], 5, 2),
+        generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3),
+        generate_group([[[1, 1, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]], 2, 3),
+    ]
+
+
+@pytest.mark.parametrize("table_cap", [None, 0])
+def test_images_match_matrix_vector_products(table_cap, monkeypatch):
+    from torsionlab import glorbits
+    from torsionlab.glorbits import _mat_vec
+
+    if table_cap is not None:
+        monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", table_cap)
+    groups = _small_groups() + [generate_group(r["gens"], r["ell"], 3)
+                                for r in _mid_group_requests()[:2]]
+    for G in groups:
+        for v in itertools.product(range(G.ell), repeat=G.dim):
+            assert G.images(v) == tuple(_mat_vec(g, v, G.ell) for g in G.elements)
+        assert bool(G._table) == (table_cap is None)
+
+
+def test_group_table_is_built_up_to_its_cap(monkeypatch):
+    from torsionlab import glorbits
+
+    for slack, built in ((0, True), (-1, False)):
+        G = generate_group([[[0, 1], [1, 0]], [[2, 0], [0, 2]]], 5, 2)
+        monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", G.order * 5 ** 2 + slack)
+        G.images((1, 0))
+        assert bool(G._table) == built
+
+
+def test_subspace_masks_match_the_point_sets():
+    for ell in (2, 3, 5):
+        for dim in (1, 2, 3):
+            index = {p: i for i, p in enumerate(itertools.product(range(ell), repeat=dim))}
+            lattice = all_subspaces(ell, dim)
+            for W in lattice:
+                assert W.mask == sum(1 << index[p] for p in W.points())
+            for W in lattice:
+                for U in lattice:
+                    assert W.leq(U) == all(U.contains(r) for r in W.basis)
+
+
+def _reports(G, a):
+    out = []
+    for V in all_subspaces(G.ell, G.dim):
+        if not any(V.contains(p) for p in orbit(G, a)):
+            continue
+        rep = verify_bound(G, a, V)
+        W = extremal_subspace(G, a, V)
+        out.append((V, W, stabilizer(G, W), rep.W, rep.stab_index, rep.witness_g))
+    return out
+
+
+def test_table_and_product_paths_agree(monkeypatch):
+    from torsionlab import glorbits
+
+    instances = [(G, (1,) * G.dim) for G in _small_groups()]
+    instances += [(generate_group(r["gens"], r["ell"], 3), tuple(r["a"]))
+                  for r in _mid_group_requests()[:2]]
+    with_table = [_reports(G, a) for G, a in instances]
+    assert all(G._table for G, _ in instances)
+    monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", 0)
+    fresh = [(generate_group(G.generators, G.ell, G.dim), a) for G, a in instances]
+    assert [_reports(G, a) for G, a in fresh] == with_table
+    assert not any(G._table for G, _ in fresh)

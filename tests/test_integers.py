@@ -149,6 +149,13 @@ def test_jacobsthal_matches_definition_oracle():
         assert jacobsthal(d) == jacobsthal_by_definition(d), d
 
 
+def test_definition_oracle_carries_coprimes_across_its_blocks():
+    # blocks shorter than the gaps put consecutive coprimes in different blocks
+    for window in (1, 2, 5):
+        for d in range(1, 300):
+            assert jacobsthal_by_definition(d, window) == jacobsthal(d), (d, window)
+
+
 def test_jacobsthal_radical_invariance():
     for d in range(1, 2000):
         assert jacobsthal(d) == jacobsthal(factorize(d).radical)
