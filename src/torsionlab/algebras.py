@@ -1,25 +1,36 @@
 """Split semisimple algebras over the rationals and idempotent lifting.
 
 An algebra here is a product of full matrix algebras M_{n_1} x ... x M_{n_k}
-over Q, elements are per-block rational matrices, and everything downstream
-(right-ideal generators, the two idempotent-lifting chains, the ideal
-membership equivalence) is exact rational linear algebra.  The classical
-facts being exercised: a right ideal of a semisimple algebra is generated by
-an idempotent, and idempotents lift along subalgebras compatibly with a
-central idempotent splitting.
+over Q, and everything downstream (right-ideal generators, the two
+idempotent-lifting chains, the ideal membership equivalence) is exact
+rational linear algebra.  The classical facts being exercised: a right ideal
+of a semisimple algebra is generated by an idempotent, and idempotents lift
+along subalgebras compatibly with a central idempotent splitting.
+
+Elements compute in integers.  An element is its flat coordinate vector in
+the basis of matrix units (block by block, each block row-major), held as
+``num / den`` with integer ``num`` and ``den > 0`` in lowest terms
+(gcd(den, *num) = 1), so equal elements have equal forms.  Sums and block
+products are integer vector operations over one denominator; the per-block
+Fraction matrices (``data``) and the coordinates (``coords``) are built only
+when a caller reads them.  A representation keeps each image as an integer
+matrix over its denominator, and spans enter elimination as integer rows,
+since a positive scale changes no span.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import InternalCheckError, ValidationError
 from . import linalg
-from .linalg import Matrix, frac_rows, rref, span_intersect, span_leq
+from .linalg import Matrix, frac_rows, over_one_den, rref, span_intersect, span_leq
 
 #: the command line refuses algebras of larger dimension: the matrix-unit
-#: check multiplies 2*dim + k(k-1) pairs of dense rational matrices (k
+#: check multiplies 2*dim + k(k-1)/2 pairs of dense rational matrices (k
 #: blocks) and the lifts eliminate on dim x dim systems.  Every acceptance
 #: pair (dim N <= 14) and benchmark pair (dim N <= 11) fits.
 ALGEBRA_DIM_CAP = 16
@@ -36,10 +47,17 @@ class SplitSemisimpleAlgebra:
         object.__setattr__(self, "blocks", blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise ValidationError("block sizes must be positive, got %r" % (blocks,))
+        layout = []  # (offset of the block in the coordinate vector, block size)
+        pos = 0
+        for n in blocks:
+            layout.append((pos, n))
+            pos += n * n
+        object.__setattr__(self, "_layout", tuple(layout))
+        object.__setattr__(self, "_dim", pos)
 
     @property
     def dim(self) -> int:
-        return sum(b * b for b in self.blocks)
+        return self._dim
 
     def basis_indices(self):
         for bi, n in enumerate(self.blocks):
@@ -47,112 +65,188 @@ class SplitSemisimpleAlgebra:
                 for j in range(n):
                     yield bi, i, j
 
+    def _units(self, positions) -> "AlgebraElement":
+        """The element with coordinate 1 at the given positions, 0 elsewhere."""
+        num = [0] * self._dim
+        for k in positions:
+            num[k] = 1
+        return AlgebraElement._of(self, num, 1)
+
+    def _diagonal(self, bis):
+        return [pos + i * (n + 1) for pos, n in (self._layout[bi] for bi in bis)
+                for i in range(n)]
+
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(
-            self,
-            tuple(linalg.zeros(n, n) for n in self.blocks),
-        )
+        return self._units(())
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(linalg.identity(n) for n in self.blocks))
+        return self._units(self._diagonal(range(len(self.blocks))))
 
     def block_unit(self, bi: int) -> "AlgebraElement":
         """The central idempotent 1_bi: the identity in block bi, zero elsewhere."""
-        return AlgebraElement(self, tuple(
-            linalg.identity(n) if k == bi else linalg.zeros(n, n)
-            for k, n in enumerate(self.blocks)))
+        return self._units(self._diagonal([bi]))
 
     def basis_element(self, bi: int, i: int, j: int) -> "AlgebraElement":
-        data = []
-        for k, n in enumerate(self.blocks):
-            rows = [[Fraction(0)] * n for _ in range(n)]
-            if k == bi:
-                rows[i][j] = Fraction(1)
-            data.append(tuple(tuple(r) for r in rows))
-        return AlgebraElement(self, tuple(data))
+        pos, n = self._layout[bi]
+        if not (0 <= i < n and 0 <= j < n):
+            raise IndexError("matrix unit (%d, %d) outside block %d" % (i, j, bi))
+        return self._units((pos + i * n + j,))
 
     def basis(self) -> list["AlgebraElement"]:
-        return [self.basis_element(*idx) for idx in self.basis_indices()]
+        return [self._units((k,)) for k in range(self._dim)]
 
     def from_coords(self, coords) -> "AlgebraElement":
         coords = list(coords)
         if len(coords) != self.dim:
             raise ValidationError("coordinate vector of wrong length")
-        data = []
-        pos = 0
-        for n in self.blocks:
-            rows = []
-            for i in range(n):
-                rows.append(tuple(Fraction(coords[pos + i * n + j]) for j in range(n)))
-            data.append(tuple(rows))
-            pos += n * n
-        return AlgebraElement(self, tuple(data))
+        num, den = over_one_den(coords)
+        return AlgebraElement._of(self, num, den)
 
     def from_matrices(self, mats) -> "AlgebraElement":
         return AlgebraElement(self, tuple(frac_rows(m) for m in mats))
 
 
-@dataclass(frozen=True)
 class AlgebraElement:
-    parent: SplitSemisimpleAlgebra
-    data: tuple[Matrix, ...]
+    """An element of ``parent``, held as ``num / den`` (see the module docstring).
 
-    def __post_init__(self):
-        if len(self.data) != len(self.parent.blocks):
+    ``AlgebraElement(parent, data)`` takes one square rational matrix per
+    block and checks the shapes; ``data`` and ``coords()`` read the element
+    back in Fractions.
+    """
+
+    __slots__ = ("parent", "num", "den", "_data")
+
+    def __init__(self, parent: SplitSemisimpleAlgebra, data):
+        if len(data) != len(parent.blocks):
             raise ValidationError("element has wrong number of blocks")
-        for mat, n in zip(self.data, self.parent.blocks):
+        for mat, n in zip(data, parent.blocks):
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValidationError("block of wrong shape")
+        num, den = over_one_den([x for mat in data for row in mat for x in row])
+        self.parent, self.num, self.den, self._data = parent, tuple(num), den, data
+
+    @classmethod
+    def _of(cls, parent: SplitSemisimpleAlgebra, num, den: int) -> "AlgebraElement":
+        """The element num / den of parent (den > 0), brought to lowest terms."""
+        if len(num) != parent._dim:
+            raise InternalCheckError("coordinate vector of wrong length")
+        g = gcd(den, *num)
+        self = object.__new__(cls)
+        self.parent, self._data = parent, None
+        if g == 1:
+            self.num, self.den = tuple(num), den
+        else:
+            self.num, self.den = tuple(x // g for x in num), den // g
+        return self
+
+    @property
+    def data(self) -> tuple[Matrix, ...]:
+        if self._data is None:
+            c = self.coords()
+            self._data = tuple(tuple(c[k:k + n] for k in range(pos, pos + n * n, n))
+                               for pos, n in self.parent._layout)
+        return self._data
 
     def coords(self) -> tuple[Fraction, ...]:
-        out = []
-        for mat in self.data:
-            for row in mat:
-                out.extend(row)
-        return tuple(out)
+        den, zero = self.den, Fraction(0)
+        return tuple(Fraction(x, den) if x else zero for x in self.num)
+
+    def __eq__(self, other):
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return (self.den == other.den and self.num == other.num
+                and self.parent == other.parent)
+
+    def __hash__(self):
+        return hash((self.parent, self.num, self.den))
+
+    def __repr__(self):
+        return "AlgebraElement(parent=%r, data=%r)" % (self.parent, self.data)
+
+    def _plus(self, other: "AlgebraElement", sign: int) -> "AlgebraElement":
+        self._same(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        num = [x * fa + y * fb for x, y in zip(self.num, other.num)]
+        return AlgebraElement._of(self.parent, num, den)
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same(other)
-        return AlgebraElement(
-            self.parent,
-            tuple(linalg.mat_add(a, b) for a, b in zip(self.data, other.data)),
-        )
+        return self._plus(other, 1)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._same(other)
-        return AlgebraElement(
-            self.parent,
-            tuple(linalg.mat_sub(a, b) for a, b in zip(self.data, other.data)),
-        )
+        return self._plus(other, -1)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
+        """Block by block: entry (i, j) of a block is the dot product of row i
+        of self's block with column j of other's, both slices of num."""
         self._same(other)
-        return AlgebraElement(
-            self.parent,
-            tuple(linalg.mat_mul(a, b) for a, b in zip(self.data, other.data)),
-        )
+        a, b = self.num, other.num
+        out = []
+        for pos, n in self.parent._layout:
+            if n == 1:
+                out.append(a[pos] * b[pos])
+                continue
+            end = pos + n * n
+            cols = [b[c:end:n] for c in range(pos, pos + n)]
+            for k in range(pos, end, n):
+                row = a[k:k + n]
+                out.extend([sum(map(mul, row, col)) for col in cols])
+        return AlgebraElement._of(self.parent, out, self.den * other.den)
 
     def scale(self, c) -> "AlgebraElement":
-        return AlgebraElement(
-            self.parent, tuple(linalg.mat_scale(c, a) for a in self.data)
-        )
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        cn = c.numerator
+        return AlgebraElement._of(self.parent, [cn * x for x in self.num],
+                                  self.den * c.denominator)
 
     def is_zero(self) -> bool:
-        return all(all(all(x == 0 for x in row) for row in mat) for mat in self.data)
+        return not any(self.num)
 
     def is_idempotent(self) -> bool:
         return self * self == self
 
     def _same(self, other):
-        if self.parent != other.parent:
+        if self.parent is not other.parent and self.parent != other.parent:
             raise ValidationError("elements of different algebras")
 
 
 def _span_elements(alg: SplitSemisimpleAlgebra, elements) -> list:
-    """Canonical (rref) basis of the span, returned as coordinate rows."""
-    rows = [e.coords() for e in elements]
-    base, _ = rref(rows)
+    """Canonical (rref) basis of the span, returned as coordinate rows.
+
+    Each element enters elimination as its integer vector num, a positive
+    multiple of its coordinates."""
+    base, _ = rref([e.num for e in elements])
     return base
+
+
+def _integer_basis(alg: SplitSemisimpleAlgebra, rows) -> list[AlgebraElement]:
+    """The elements with the given coordinate rows, each scaled by the
+    positive lcm of its denominators to integer coordinates."""
+    return [AlgebraElement._of(alg, over_one_den(row)[0], 1) for row in rows]
+
+
+def _coefficients(elems, target: AlgebraElement):
+    """``linalg.solve`` for t with sum t_i * elems[i] = target (free variables
+    zero), or None.  The columns and the right-hand side are cleared over
+    one common denominator; scaling the whole system by it changes no
+    solution."""
+    den = lcm(target.den, *(x.den for x in elems))
+    cols = [[v * (den // x.den) for v in x.num] for x in elems]
+    return linalg.solve(list(zip(*cols)), [v * (den // target.den) for v in target.num])
+
+
+def _lowest(rows, den: int):
+    """The integer matrix form (rows, den) in lowest terms."""
+    g = gcd(den, *(x for row in rows for x in row))
+    if g == 1:
+        return rows, den
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def _form_mul(f, g):
+    """Product of two integer matrix forms (rows, den), in lowest terms."""
+    return _lowest(linalg.int_mat_mul(f[0], g[0]), f[1] * g[1])
 
 
 def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, what: str):
@@ -160,23 +254,29 @@ def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, w
     return the images of the corner units e^b_11, one per block.
 
     A presentation of the relations e_ij * e_kl = delta_jk * e_il is checked,
-    with 2*dim + k(k-1) products for k blocks instead of dim^2.  Per block,
+    with 2*dim + k(k-1)/2 products for k blocks instead of dim^2.  Per block,
     with F_i = phi(e_i1), G_j = phi(e_1j) and P = phi(e_11) = F_1 = G_1:
 
     - F_i * G_j = phi(e_ij) for all i, j;
     - G_j * F_k = delta_jk * P for all j, k;
 
-    and z_a * z_b = 0 for blocks a != b, where z_a = phi(1_a) is computed
+    and z_a * z_b = 0 for blocks a < b, where z_a = phi(1_a) is computed
     with ``apply``.  Proof that these give every relation: taking j = 1 and
     i = 1 in the first family gives F_i * P = F_i and P * G_l = G_l, so
     phi(e_ij) * phi(e_kl) = F_i (G_j F_k) G_l = delta_jk * F_i P G_l =
-    delta_jk * phi(e_il).  Within its block z_a * phi(e^a_ij) = phi(e^a_ij) =
-    phi(e^a_ij) * z_a, hence phi(e^a_ij) * phi(e^b_kl) =
-    phi(e^a_ij) z_a z_b phi(e^b_kl) = 0 across blocks.  Conversely each
-    checked identity is one of the relations, so the check is exact.  (Over
-    Q the last family cannot fail once the unit holds: the z_a are then
-    idempotents summing to 1, and trace = rank makes them orthogonal.  It is
-    kept so that the proof needs no trace argument.)
+    delta_jk * phi(e_il).  In particular each z_m = sum_i phi(e^m_ii) is
+    idempotent, and both constructors check phi(1) = sum_m z_m = 1 first.
+    Then z_b * z_a = 0 for a < b too, by induction downward on a: assume
+    z_m * z_c = 0 whenever a < c < m.  Left-multiplying
+    z_a = 1 * z_a = sum_c z_c * z_a by z_m for m > a gives
+    z_m * z_a = sum_c z_m * z_c * z_a; the terms c < a vanish because
+    z_c * z_a = 0 is checked, the terms c > m because z_m * z_c = 0 is
+    checked, the terms a < c < m by the assumption, and the terms c = a and
+    c = m are both z_m * z_a; so z_m * z_a = 2 * z_m * z_a, which is 0.
+    Within its block z_a * phi(e^a_ij) = phi(e^a_ij) = phi(e^a_ij) * z_a,
+    hence phi(e^a_ij) * phi(e^b_kl) = phi(e^a_ij) z_a z_b phi(e^b_kl) = 0
+    across blocks.  Conversely each checked identity is one of the
+    relations, so the check is exact.
 
     Once phi is multiplicative it is injective iff no corner image is zero:
     if x != 0 lies in the kernel, pick a block b and (i, j) with x_b[i][j]
@@ -186,8 +286,7 @@ def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, w
     """
     corners = []
     block_units = []
-    pos = 0
-    for b, n in enumerate(alg.blocks):
+    for b, (pos, n) in enumerate(alg._layout):
         f = images[pos:pos + n * n:n]
         g = images[pos:pos + n]
         corner = images[pos]
@@ -201,10 +300,9 @@ def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, w
                     raise ValidationError("%s is not multiplicative" % what)
         corners.append(corner)
         block_units.append(apply(alg.block_unit(b)))
-        pos += n * n
     for a, za in enumerate(block_units):
-        for b, zb in enumerate(block_units):
-            if a != b and mul(za, zb) != zero:
+        for zb in block_units[a + 1:]:
+            if mul(za, zb) != zero:
                 raise ValidationError("%s is not multiplicative" % what)
     return corners
 
@@ -223,6 +321,11 @@ class AlgebraEmbedding:
         for img in self.images:
             if img.parent != self.target:
                 raise ValidationError("embedding images live in the wrong algebra")
+        # the images' integer vectors over one common denominator, for apply
+        den = lcm(*(img.den for img in self.images))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_nums", tuple(
+            tuple(x * (den // img.den) for x in img.num) for img in self.images))
         if self.apply(self.source.one()) != self.target.one():
             raise ValidationError("embedding does not preserve the unit")
         corners = _check_matrix_units(self.source, self.images, AlgebraElement.__mul__,
@@ -233,16 +336,14 @@ class AlgebraEmbedding:
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.parent != self.source:
             raise ValidationError("element not in the embedding source")
-        out = self.target.zero()
-        for c, img in zip(elem.coords(), self.images):
+        acc = [0] * self.target.dim
+        for c, img in zip(elem.num, self._nums):
             if c:
-                out = out + img.scale(c)
-        return out
+                acc = [s + c * y for s, y in zip(acc, img)]
+        return AlgebraElement._of(self.target, acc, elem.den * self._den)
 
     def preimage(self, elem: AlgebraElement) -> AlgebraElement | None:
-        cols = [img.coords() for img in self.images]
-        system = [[cols[i][k] for i in range(len(cols))] for k in range(self.target.dim)]
-        sol = linalg.solve(system, list(elem.coords()))
+        sol = _coefficients(self.images, elem)
         if sol is None:
             return None
         return self.source.from_coords(sol)
@@ -257,17 +358,14 @@ def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAl
             raise ValidationError("assignment does not fill target block %d" % j)
     images = []
     for bi, i, jj in source.basis_indices():
-        data = []
-        for tj, n in enumerate(target.blocks):
-            rows = [[Fraction(0)] * n for _ in range(n)]
+        places = []
+        for tj, (pos, n) in enumerate(target._layout):
             off = 0
             for si in assignment[tj]:
-                sz = source.blocks[si]
                 if si == bi:
-                    rows[off + i][off + jj] = Fraction(1)
-                off += sz
-            data.append(tuple(tuple(r) for r in rows))
-        images.append(AlgebraElement(target, tuple(data)))
+                    places.append(pos + (off + i) * n + off + jj)
+                off += source.blocks[si]
+        images.append(target._units(places))
     return AlgebraEmbedding(source, target, tuple(images))
 
 
@@ -285,27 +383,39 @@ class Representation:
         for m in self.images:
             if len(m) != self.space_dim or any(len(r) != self.space_dim for r in m):
                 raise ValidationError("representation matrix of wrong shape")
-        if self.apply(self.algebra.one()) != linalg.identity(self.space_dim):
+        # each image as an integer matrix over its denominator, in lowest
+        # terms, for the checks; and flattened over one common denominator,
+        # for apply
+        forms = tuple(map(linalg.int_matrix, self.images))
+        den = lcm(*(d for _, d in forms))
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_flat", tuple(
+            tuple(x * (den // d) for row in rows for x in row) for rows, d in forms))
+        s = self.space_dim
+        ident = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
+        if self._form(self.algebra.one()) != (ident, 1):
             raise ValidationError("representation is not unital")
-        zero = linalg.zeros(self.space_dim, self.space_dim)
-        corners = _check_matrix_units(self.algebra, self.images, linalg.mat_mul,
-                                      self.apply, zero, "representation")
+        zero = (tuple((0,) * s for _ in range(s)), 1)
+        corners = _check_matrix_units(self.algebra, forms, _form_mul,
+                                      self._form, zero, "representation")
         if any(corner == zero for corner in corners):
             raise ValidationError("representation is not faithful")
 
-    def apply(self, elem: AlgebraElement) -> Matrix:
+    def _form(self, elem: AlgebraElement):
+        """The action of elem as an integer matrix form (rows, den) in lowest terms."""
         if elem.parent != self.algebra:
             raise ValidationError("element not in the represented algebra")
-        acc = [[Fraction(0)] * self.space_dim for _ in range(self.space_dim)]
-        for c, m in zip(elem.coords(), self.images):
+        s = self.space_dim
+        acc = [0] * (s * s)
+        for c, m in zip(elem.num, self._flat):
             if c:
-                for r in range(self.space_dim):
-                    row = m[r]
-                    arow = acc[r]
-                    for k in range(self.space_dim):
-                        if row[k]:
-                            arow[k] += c * row[k]
-        return tuple(tuple(row) for row in acc)
+                acc = [x + c * y for x, y in zip(acc, m)]
+        rows = tuple(tuple(acc[k * s:k * s + s]) for k in range(s))
+        return _lowest(rows, elem.den * self._den)
+
+    def apply(self, elem: AlgebraElement) -> Matrix:
+        rows, den = self._form(elem)
+        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
 
 
 def standard_representation(alg: SplitSemisimpleAlgebra) -> Representation:
@@ -343,35 +453,41 @@ def _colspan_sum(mats) -> list:
 # right ideals
 
 
-def _idempotent_generator_coords(
-    mult, ideal_coords: list, label: str
-) -> list:
-    """Solve for e in span(ideal) with e*x_j = x_j for the canonical basis.
+def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str):
+    """Solve for e in span(basis) with e*x = x for every x in the span.
 
-    ``mult`` multiplies two coordinate vectors in the enclosing algebra.
-    Returns e's coordinates.  Inconsistency is an internal error: in a
-    semisimple algebra every right ideal has an idempotent generator.
+    ``basis`` is the canonical (rref) basis of a right ideal, used as it
+    comes.  Each basis row is scaled to integers first: that multiplies each
+    unknown's column and each basis row's group of equations by a positive
+    factor, so the solution with free variables zero, and hence e, is
+    unchanged.  Returns e, or None for
+    the zero ideal.  Inconsistency is an internal error: in a semisimple
+    algebra every right ideal has an idempotent generator.
     """
-    basis, _ = rref(ideal_coords)
     if not basis:
         return None  # the zero ideal
-    ncoord = len(basis[0])
-    # unknowns t_i; equations: sum_i t_i (v_i * x_j) = x_j, all coords, all j
-    cols = [[mult(v, x) for x in basis] for v in basis]
+    xs = _integer_basis(alg, basis)
+    # unknowns t_i; equations: sum_i t_i (x_i * x_j) = x_j, all coords, all j
     system = []
     rhs = []
-    for jx, x in enumerate(basis):
-        for k in range(ncoord):
-            system.append([cols[i][jx][k] for i in range(len(basis))])
-            rhs.append(x[k])
+    for x in xs:
+        system.extend(zip(*[(v * x).num for v in xs]))
+        rhs.extend(x.num)
     sol = linalg.solve(system, rhs)
     if sol is None:
         raise InternalCheckError("no idempotent generator found for %s" % label)
-    e = [Fraction(0)] * ncoord
-    for t, v in zip(sol, basis):
+    return _combination(alg, sol, xs)
+
+
+def _combination(alg: SplitSemisimpleAlgebra, coeffs, elems) -> AlgebraElement:
+    """sum coeffs[i] * elems[i] for integer-coordinate elems, over the
+    common denominator of the coefficients."""
+    tn, td = over_one_den(coeffs)
+    acc = [0] * alg.dim
+    for t, x in zip(tn, elems):
         if t:
-            e = [a + t * b for a, b in zip(e, v)]
-    return e
+            acc = [s + t * y for s, y in zip(acc, x.num)]
+    return AlgebraElement._of(alg, acc, td)
 
 
 def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElement:
@@ -383,22 +499,16 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
     span = _span_elements(A, elems)
     alg_basis = A.basis()
     # verify the right-ideal property exactly
-    products = ((x * unit).coords() for x in map(A.from_coords, span) for unit in alg_basis)
+    products = ((x * unit).num for x in _integer_basis(A, span) for unit in alg_basis)
     if not span_leq(products, span):
         raise ValidationError("ideal_basis does not span a right ideal")
-
-    def mult(u, v):
-        return (A.from_coords(u) * A.from_coords(v)).coords()
-
-    e_coords = _idempotent_generator_coords(mult, span, "right ideal")
-    if e_coords is None:
+    e = _idempotent_generator(A, span, "right ideal")
+    if e is None:
         return A.zero()
-    e = A.from_coords(e_coords)
     if not e.is_idempotent():
         raise InternalCheckError("generator is not idempotent")
     # e*A = X, both inclusions
-    gen_span = _span_elements(A, [e * u for u in alg_basis])
-    if [list(r) for r in gen_span] != [list(r) for r in span]:
+    if _span_elements(A, [e * u for u in alg_basis]) != span:
         raise InternalCheckError("generated ideal differs from the input ideal")
     return e
 
@@ -410,6 +520,13 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
 def _check_idempotent(x: AlgebraElement, name: str):
     if not x.is_idempotent():
         raise ValidationError("%s must be idempotent" % name)
+
+
+def _image_span(rep: Representation, elems) -> list:
+    """Canonical basis of the sum of the column spaces of the elements'
+    actions; each action enters as its integer matrix, which is the action
+    times its positive denominator."""
+    return _colspan_sum([rep._form(x)[0] for x in elems])
 
 
 def lift_idempotent(
@@ -430,15 +547,13 @@ def lift_idempotent(
     if u.parent != N or w.parent != M:
         raise ValidationError("u must live in N and w in M")
     _check_idempotent(u, "u")
-    w_n = emb.apply(w)
-    im_w = column_space(rep.apply(w_n))
-    im_u = column_space(rep.apply(u))
+    im_w = _image_span(rep, [emb.apply(w)])
+    im_u = _image_span(rep, [u])
     if not span_leq(im_w, im_u):
         raise ValidationError("image precondition fails: im(w) not inside im(u)")
 
-    n_basis = N.basis()
-    uN = _span_elements(N, [u * x for x in n_basis])
-    m_embedded = _span_elements(N, [emb.apply(x) for x in M.basis()])
+    uN = _span_elements(N, [u * x for x in N.basis()])
+    m_embedded = _span_elements(N, emb.images)
     inter = span_intersect(uN, m_embedded)
     ideal_in_m = []
     for vec in inter:
@@ -448,7 +563,7 @@ def lift_idempotent(
         ideal_in_m.append(pre)
     v = right_ideal_generator(M, ideal_in_m)
     # verified conclusions
-    im_v = column_space(rep.apply(emb.apply(v)))
+    im_v = _image_span(rep, [emb.apply(v)])
     if not (span_leq(im_w, im_v) and span_leq(im_v, im_u)):
         raise InternalCheckError("lifted idempotent misses the image chain")
     return v
@@ -478,13 +593,13 @@ def ideal_membership_mod_pi(
         raise ValidationError("pi must be central")
     _check_idempotent(u, "u")
 
-    im_b_pi = _colspan_sum([rep.apply(b), rep.apply(pi)])
-    im_u_pi = _colspan_sum([rep.apply(u), rep.apply(pi)])
+    im_b_pi = _image_span(rep, [b, pi])
+    im_u_pi = _image_span(rep, [u, pi])
     rep_answer = span_leq(im_b_pi, im_u_pi)
 
     basis = B.basis()
     ideal = _span_elements(B, [u * x for x in basis] + [pi * x for x in basis])
-    direct_answer = span_leq([b.coords()], ideal)
+    direct_answer = span_leq([b.num], ideal)
 
     if rep_answer != direct_answer:
         raise InternalCheckError(
@@ -520,9 +635,8 @@ def lift_idempotent_central(
     _check_idempotent(u, "u")
     _check_idempotent(w, "w")
 
-    w_n = emb.apply(w)
-    chain_lhs = _colspan_sum([rep.apply(w_n), rep.apply(pi)])
-    chain_rhs = _colspan_sum([rep.apply(u), rep.apply(pi)])
+    chain_lhs = _image_span(rep, [emb.apply(w), pi])
+    chain_rhs = _image_span(rep, [u, pi])
     if not span_leq(chain_lhs, chain_rhs):
         raise ValidationError("precondition fails: w*V + pi*V not inside u*V + pi*V")
 
@@ -532,29 +646,27 @@ def lift_idempotent_central(
         return M.one()
 
     n_basis = N.basis()
-    m_images = [emb.apply(x) for x in M.basis()]
+    m_images = list(emb.images)
+    pi_n = [pi * x for x in n_basis]
     # S = M[pi] = M + M*pi (pi is central and idempotent)
-    s_span = _span_elements(N, m_images + [x * pi for x in m_images])
-    ideal_span = _span_elements(N, [u * x for x in n_basis] + [pi * x for x in n_basis])
+    s_gens = m_images + [x * pi for x in m_images]
+    s_span = _span_elements(N, s_gens)
+    ideal_span = _span_elements(N, [u * x for x in n_basis] + pi_n)
     x_pi = span_intersect(ideal_span, s_span)
 
-    def mult(a, b):
-        return (N.from_coords(a) * N.from_coords(b)).coords()
-
-    m0_coords = _idempotent_generator_coords(mult, x_pi, "X_pi")
-    m0 = N.from_coords(m0_coords) if m0_coords is not None else N.zero()
+    m0 = _idempotent_generator(N, x_pi, "X_pi")
+    if m0 is None:
+        m0 = N.zero()
 
     # decompose m0 = m1 + m2*pi with m1, m2 in the embedded M
-    cols = [x.coords() for x in m_images] + [(x * pi).coords() for x in m_images]
-    system = [[cols[i][k] for i in range(len(cols))] for k in range(N.dim)]
-    sol = linalg.solve(system, list(m0.coords()))
+    sol = _coefficients(s_gens, m0)
     if sol is None:
         raise InternalCheckError("generator fell outside M + M*pi")
     dm = M.dim
     m1 = M.from_coords(sol[:dm])
 
     # K = M ∩ pi*S, a two-sided ideal of M; its unit is central in M
-    pi_s = _span_elements(N, [pi * N.from_coords(v) for v in map(list, s_span)])
+    pi_s = _span_elements(N, [pi * x for x in _integer_basis(N, s_span)])
     k_n = span_intersect(_span_elements(N, m_images), pi_s)
     k_in_m = []
     for vec in k_n:
@@ -563,23 +675,21 @@ def lift_idempotent_central(
             raise InternalCheckError("K escaped the embedded subalgebra")
         k_in_m.append(pre)
     if k_in_m:
-        k_span = _span_elements(M, k_in_m)
-        k_elems = [M.from_coords(vec) for vec in k_span]
-        # unknowns t_i; equations y*x = x and x*y = x for y = sum t_i k_i, per coordinate
+        # unknowns t_i; equations y*x = x and x*y = x for y = sum t_i k_i, per
+        # coordinate; the canonical basis of K is scaled to integers, which
+        # leaves the solution y unchanged (see _idempotent_generator)
+        k_elems = _integer_basis(M, _span_elements(M, k_in_m))
         system_k = []
         rhs_k = []
-        for x, xe in zip(k_span, k_elems):
-            for prods in ([(y * xe).coords() for y in k_elems],
-                          [(xe * y).coords() for y in k_elems]):
-                system_k.extend(zip(*prods))
-                rhs_k.extend(x)
+        for x in k_elems:
+            system_k.extend(zip(*[(y * x).num for y in k_elems]))
+            rhs_k.extend(x.num)
+            system_k.extend(zip(*[(x * y).num for y in k_elems]))
+            rhs_k.extend(x.num)
         sol_k = linalg.solve(system_k, rhs_k)
         if sol_k is None:
             raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
-        e = M.zero()
-        for t, y in zip(sol_k, k_elems):
-            if t:
-                e = e + y.scale(t)
+        e = _combination(M, sol_k, k_elems)
     else:
         e = M.zero()
 
@@ -589,7 +699,7 @@ def lift_idempotent_central(
 
     # verified conclusions
     v_n = emb.apply(v)
-    im_v_pi = _colspan_sum([rep.apply(v_n), rep.apply(pi)])
+    im_v_pi = _image_span(rep, [v_n, pi])
     if not (span_leq(chain_lhs, im_v_pi) and span_leq(im_v_pi, chain_rhs)):
         raise InternalCheckError("central lift misses the chain")
     # compatibility with the pi-splitting: (1-pi)(u*v - v) = 0
@@ -597,8 +707,9 @@ def lift_idempotent_central(
     if not resid.is_zero():
         raise InternalCheckError("lift is not compatible with the pi-splitting")
     # Remark-style direct sum: dim(pi*N) + dim((1-pi)*N) = dim N
-    d_pi = len(_span_elements(N, [pi * x for x in n_basis]))
-    d_co = len(_span_elements(N, [(N.one() - pi) * x for x in n_basis]))
+    co = N.one() - pi
+    d_pi = linalg.rank([x.num for x in pi_n])
+    d_co = linalg.rank([(co * x).num for x in n_basis])
     if d_pi + d_co != N.dim:
         raise InternalCheckError("central idempotent does not split the algebra")
     return v

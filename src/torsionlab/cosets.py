@@ -176,13 +176,6 @@ class ModelSubvariety:
             raise InternalCheckError("summand coefficient map is not injective")
         return out
 
-    def same_subgroup(self, other: "ModelSubvariety") -> bool:
-        if self.ambient != other.ambient or len(self.basis) != len(other.basis):
-            return False
-        return all(self.contains(v) for v in other.basis) and all(
-            other.contains(v) for v in self.basis
-        )
-
 
 @dataclass(frozen=True)
 class TorsionCoset:
@@ -196,14 +189,6 @@ class TorsionCoset:
         pt = self.subgroup.ambient.reduce(self.point)
         object.__setattr__(self, "point", pt)
         object.__setattr__(self, "order", coset_order_raw(pt, self.subgroup))
-
-    def same_coset(self, other: "TorsionCoset") -> bool:
-        if not self.subgroup.same_subgroup(other.subgroup):
-            return False
-        diff = self.subgroup.ambient.add(
-            self.point, self.subgroup.ambient.neg(other.point)
-        )
-        return self.subgroup.contains(diff)
 
 
 def _divisors(n: int) -> list[int]:
@@ -220,10 +205,6 @@ def coset_order_raw(point: Vector, subgroup: ModelSubvariety) -> int:
         if subgroup.contains(amb.scale(m, point)):
             return m
     raise InternalCheckError("N * point must lie in every subgroup")
-
-
-def coset_order(coset: TorsionCoset) -> int:
-    return coset_order_raw(coset.point, coset.subgroup)
 
 
 def lang_orbit(
@@ -245,18 +226,6 @@ def lang_orbit(
         )
     powers = {pow(l, c, d) for l in range(1, d) if gcd(l, d) == 1}
     return frozenset(ambient.scale(s, a) for s in powers)
-
-
-def multiply_coset(q: int, coset: TorsionCoset) -> TorsionCoset:
-    """[q] on cosets: q * point + the same subgroup; needs gcd(q, N) = 1."""
-    amb = coset.subgroup.ambient
-    if q < 1:
-        raise ValidationError("multiply_coset requires q >= 1")
-    if gcd(q, amb.N) != 1:
-        raise ValidationError(
-            "multiplication by %d is not invertible mod %d" % (q, amb.N)
-        )
-    return TorsionCoset(amb.scale(q, coset.point), coset.subgroup)
 
 
 def torsion_count(B: ModelSubvariety, q: int) -> int:
@@ -288,71 +257,6 @@ def degree_pushforward(deg_v: int, dim_v: int, stab_torsion: int, q: int) -> int
             % (stab_torsion, total)
         )
     return total // stab_torsion
-
-
-def corhin_derive(deg_v: int, dim_v: int, q: int, q_prime: int) -> tuple[int, int, int]:
-    """Torsion counts forced by [q]V = [q']V for coprime q, q'."""
-    if q < 1 or q_prime < 1:
-        raise ValidationError("q and q' must be positive")
-    if gcd(q, q_prime) != 1:
-        raise ValidationError("q and q' must be coprime")
-    if deg_v < 1 or dim_v < 0:
-        raise ValidationError("degree/dimension out of range")
-    return (
-        q ** (2 * dim_v),
-        q_prime ** (2 * dim_v),
-        (q * q_prime) ** (2 * dim_v),
-    )
-
-
-@dataclass(frozen=True)
-class HindryReport:
-    hypothesis_holds: bool
-    degree: int
-    degree_condition_holds: bool
-    special: bool
-    components: tuple[dict, ...]
-
-
-def hindry_criterion(V: list[TorsionCoset], q: int, q_prime: int) -> HindryReport:
-    """Check [q]V = [q']V as exact coset sets plus deg(V) < (qq')^2.
-
-    Model degree of a union is its component count; every model component is
-    a torsion coset, hence special, and its stabilizer is its own subgroup.
-    """
-    if not V:
-        return HindryReport(True, 0, True, True, ())
-    amb = V[0].subgroup.ambient
-    if any(x.subgroup.ambient != amb for x in V):
-        raise ValidationError("all cosets must share one ambient group")
-    if gcd(q * q_prime, amb.N) != 1:
-        raise ValidationError("q*q' must be prime to N")
-
-    def image(mult):
-        return [multiply_coset(mult, x) for x in V]
-
-    def set_eq(xs, ys):
-        return all(any(x.same_coset(y) for y in ys) for x in xs) and all(
-            any(y.same_coset(x) for x in xs) for y in ys
-        )
-
-    distinct = []
-    for x in V:
-        if not any(x.same_coset(y) for y in distinct):
-            distinct.append(x)
-    degree = len(distinct)
-    hypothesis = set_eq(image(q), image(q_prime))
-    deg_ok = degree < (q * q_prime) ** 2
-    comps = tuple(
-        {
-            "point": x.point,
-            "stabilizer": x.subgroup,
-            "order": x.order,
-            "special": True,
-        }
-        for x in distinct
-    )
-    return HindryReport(hypothesis, degree, deg_ok, True, comps)
 
 
 # ---------------------------------------------------------------------------

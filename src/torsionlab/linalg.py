@@ -1,21 +1,30 @@
 """Exact linear algebra helpers: elimination over Q and F_ell, spans mod n,
 echelon enumeration of summand bases, integer Smith form, integer roots.
 
-Everything here is deterministic and exact.  Rational matrices are tuples of
-tuples of Fractions; integer and F_ell matrices are lists of lists of ints.
-No floating point decides a result: ``iroot`` only seeds its exact
-iteration with a float estimate.
+Everything here is deterministic and exact.  Rational matrices are read and
+returned as tuples of tuples of Fractions, but the kernels compute in
+integers: a rational row or matrix is cleared to integer entries over one
+common denominator (``over_one_den``, ``int_matrix``), eliminated and
+multiplied in ints, and a Fraction is built only for an output entry.
+Integer and F_ell matrices are lists of lists of ints.  No floating point
+decides a result: ``iroot`` only seeds its exact iteration with a float
+estimate.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import gcd, log2
-from operator import mul
+from math import gcd, lcm, log2
+from operator import attrgetter, mul
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
+
+_INT = {int}
+_RATIONAL = {int, Fraction}
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
 def frac_rows(rows) -> Matrix:
@@ -23,53 +32,25 @@ def frac_rows(rows) -> Matrix:
     return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
-def zeros(n: int, m: int) -> Matrix:
-    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
-
-
-def identity(n: int) -> Matrix:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b, each output row summed from the rows of b at the nonzero entries
-    of the row of a; no zero product is formed, so matrix units are cheap."""
-    out = []
-    for row in a:
-        acc = [Fraction(0)] * (len(b[0]) if b else 0)
-        for x, brow in zip(row, b):
-            if x:
-                for j, y in enumerate(brow):
-                    if y:
-                        acc[j] += x * y
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def mat_scale(c, a: Matrix) -> Matrix:
-    c = Fraction(c)
-    return tuple(tuple(c * x for x in row) for row in a)
+def over_one_den(values) -> tuple[list[int], int]:
+    """(nums, den) with values = nums / den: den is the lcm of the denominators,
+    so gcd(den, *nums) = 1."""
+    values = list(values)
+    types = set(map(type, values))
+    if types <= _INT:
+        return values, 1
+    if not types <= _RATIONAL:
+        values = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*set(map(_denominator, values)))
+    if den == 1:
+        return list(map(_numerator, values)), 1
+    nums = map(_numerator, values)
+    return [n * (den // d) for n, d in zip(nums, map(_denominator, values))], den
 
 
 def _integral(row) -> list[int]:
     """The row times the lcm of its denominators, as ints."""
-    row = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in row]
-    den = 1
-    for x in row:
-        d = x.denominator
-        if d != 1:
-            den = den // gcd(den, d) * d
-    return [x.numerator * (den // x.denominator) for x in row]
+    return over_one_den(row)[0]
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -78,38 +59,64 @@ def _primitive(row: list[int]) -> list[int]:
     return [x // g for x in row] if g > 1 else row
 
 
-def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
+def int_matrix(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """(rows, den) with mat = rows / den over the lcm of its denominators;
+    equal matrices give equal pairs."""
+    width = len(mat[0]) if mat else 0
+    if not width:
+        return tuple(() for _ in mat), 1
+    flat, den = over_one_den([x for row in mat for x in row])
+    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width)), den
 
-    Over Q by default, with Fraction entries; with ``ell`` over F_ell, with
-    int entries reduced into [0, ell).  Zero rows are dropped.  The result is
-    the canonical basis of the row span, so equal spans give identical output.
+
+def int_mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
+    """a @ b for integer matrices, each output row summed from the rows of b at
+    the nonzero entries of the row of a; no zero product is formed, so matrix
+    units are cheap."""
+    width = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * width
+        for x, brow in zip(row, b):
+            if x:
+                acc = [s + x * y for s, y in zip(acc, brow)]
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """a @ b over Q: the integer product of a and b over their common
+    denominators, divided once per output entry."""
+    a, a_den = int_matrix(a)
+    b, b_den = int_matrix(b)
+    den = a_den * b_den
+    return tuple(tuple(Fraction(x, den) for x in row) for row in int_mat_mul(a, b))
+
+
+def _echelon(rows, ell: int | None = None) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination in integers; returns (rows, pivot columns).
+
+    Each returned row is zero in every pivot column but its own, and zero rows
+    are dropped: divided by its pivot, row i is row i of the reduced echelon
+    form.  Over Q (the default) each row is a primitive integer row; with
+    ``ell`` it is reduced into [0, ell).
 
     One integer loop serves both fields (Bareiss, Math. Comp. 22 (1968)):
     a row is cleared at a pivot p by p*row - a*prow, with no division.  Over
     Q each row starts with its denominators cleared and is kept primitive
     (its gcd content divided out after every step); over F_ell it is reduced
-    mod ell.  Each row is divided by its pivot once, at the end, so a
-    Fraction is built only for the output.
+    mod ell.
     """
     if ell is None:
         m = [_primitive(_integral(r)) for r in rows]
-        zero = Fraction(0)
 
         def cleared(row, prow, p, a):
             return _primitive([p * x - a * y for x, y in zip(row, prow)])
-
-        def finish(row, p):
-            return [Fraction(x, p) if x else zero for x in row]
     else:
         m = [[x % ell for x in r] for r in rows]
 
         def cleared(row, prow, p, a):
             return [(p * x - a * y) % ell for x, y in zip(row, prow)]
-
-        def finish(row, p):
-            inv = pow(p, -1, ell)
-            return [x * inv % ell for x in row]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -130,23 +137,45 @@ def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
         r += 1
         if r == len(m):
             break
-    return [finish(row, row[c]) for row, c in zip(m, pivots)], pivots
+    return m[:r], pivots
+
+
+def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form with unit pivots; returns (rows, pivot columns).
+
+    Over Q by default, with Fraction entries; with ``ell`` over F_ell, with
+    int entries reduced into [0, ell).  Zero rows are dropped.  The result is
+    the canonical basis of the row span, so equal spans give identical output.
+    Each row of ``_echelon`` is divided by its pivot once, so a Fraction is
+    built only for the output.
+    """
+    m, pivots = _echelon(rows, ell)
+    if ell is None:
+        zero = Fraction(0)
+        return [[Fraction(x, row[c]) if x else zero for x in row]
+                for row, c in zip(m, pivots)], pivots
+    out = []
+    for row, c in zip(m, pivots):
+        inv = pow(row[c], -1, ell)
+        out.append([x * inv % ell for x in row])
+    return out, pivots
 
 
 def rank(rows, ell: int | None = None) -> int:
-    return len(rref(rows, ell)[1])
+    return len(_echelon(rows, ell)[1])
 
 
 def span_leq(sub, sup) -> bool:
-    """True iff span(sub) is contained in span(sup)."""
-    base, pivots = rref(sup)
+    """True iff span(sub) is contained in span(sup): each vector of sub, its
+    denominators cleared, reduces to zero against sup's integer echelon rows."""
+    base, pivots = _echelon(sup)
     for vec in sub:
-        v = list(map(Fraction, vec))
-        for row, p in zip(base, pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        if any(x != 0 for x in v):
+        v = _integral(vec)
+        for row, c in zip(base, pivots):
+            a = v[c]
+            if a:
+                v = _primitive([row[c] * x - a * y for x, y in zip(v, row)])
+        if any(v):
             return False
     return True
 
@@ -190,63 +219,75 @@ def free_summand_bases(q: int, p: int, n: int, r: int):
             yield pivots, tuple(tuple(row) for row in rows)
 
 
+def _kernel(base, pivots, ncols: int):
+    """(v, den) per free column fc: v / den is the kernel vector of the echelon
+    rows with 1 at fc and zero at the other free columns; den > 0 is the lcm
+    of the pivots it divides by (``math.lcm`` is never negative)."""
+    for fc in (c for c in range(ncols) if c not in pivots):
+        den = lcm(*(row[p] for row, p in zip(base, pivots) if row[fc]))
+        v = [0] * ncols
+        v[fc] = den
+        for row, p in zip(base, pivots):
+            v[p] = -row[fc] * (den // row[p])
+        yield v, den
+
+
 def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:
-    """Basis of span(a) ∩ span(b), by the kernel of the stacked coefficient map."""
-    a = [list(map(Fraction, r)) for r in a_basis]
-    b = [list(map(Fraction, r)) for r in b_basis]
+    """Basis of span(a) ∩ span(b), by the kernel of the stacked coefficient map.
+
+    The vectors are scaled to integers first, which changes neither span; the
+    kernel and the intersection vectors are computed in integers, and only
+    the canonical (rref) basis of the result is built in Fractions."""
+    a = [_integral(r) for r in a_basis]
+    b = [_integral(r) for r in b_basis]
     if not a or not b:
         return []
     na, nb = len(a), len(b)
     # solve sum x_i a_i - sum y_j b_j = 0; columns are the ambient coordinates
     stacked = [[a[i][k] for i in range(na)] + [-b[j][k] for j in range(nb)]
                for k in range(len(a[0]))]
+    base, pivots = _echelon(stacked)
+    cols = list(zip(*a))
     out = []
-    for ker in nullspace(stacked):
-        vec = [sum(ker[i] * a[i][k] for i in range(na)) for k in range(len(a[0]))]
-        if any(x != 0 for x in vec):
+    for ker, _ in _kernel(base, pivots, na + nb):
+        vec = [sum(map(mul, ker, col)) for col in cols]
+        if any(vec):
             out.append(vec)
-    base, _ = rref(out)
-    return base
+    return rref(out)[0]
 
 
 def nullspace(rows) -> list[list[Fraction]]:
     """Basis of the right kernel {x : rows @ x = 0}, free variables in order."""
-    base, pivots = rref(rows)
     if not rows:
         return []
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    out = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, p in zip(base, pivots):
-            v[p] = -row[fc]
-        out.append(v)
-    return out
+    base, pivots = _echelon(rows)
+    return [[Fraction(x, den) for x in v] for v, den in _kernel(base, pivots, len(rows[0]))]
 
 
 def solve(rows, rhs):
     """One exact solution of rows @ x = rhs, or None if inconsistent.
 
     Free variables are set to zero, which makes the answer deterministic
-    under the natural (lexicographic) column order.
+    under the natural (lexicographic) column order.  The augmented rows are
+    eliminated in integers; the solution is X / den over one common
+    denominator, checked against every input row as rows @ X == rhs * den
+    (cheap, and guards against misuse with dependent rows).
     """
     if not rows:
         return None
-    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    base, pivots = rref(aug)
+    aug = [_integral(list(r) + [v]) for r, v in zip(rows, rhs)]
+    base, pivots = _echelon(aug)
     ncols = len(rows[0])
-    x = [Fraction(0)] * ncols
+    if pivots and pivots[-1] == ncols:
+        return None  # pivot in the constant column: inconsistent
+    den = lcm(*(row[p] for row, p in zip(base, pivots)))
+    x = [0] * ncols
     for row, p in zip(base, pivots):
-        if p == ncols:
-            return None  # pivot in the constant column: inconsistent
-        x[p] = row[ncols]
-    # verify (cheap, and guards against misuse with dependent rows)
-    for r, v in zip(rows, rhs):
-        if sum(Fraction(a) * b for a, b in zip(r, x)) != Fraction(v):
+        x[p] = row[ncols] * (den // row[p])
+    for row in aug:
+        if sum(map(mul, row, x)) != row[ncols] * den:
             return None
-    return x
+    return [Fraction(v, den) for v in x]
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +428,3 @@ def ceil_root_fraction(num: int, den: int, k: int) -> int:
     while t > 0 and (t - 1) ** k * den >= num:
         t -= 1
     return t
-
-
-def lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)

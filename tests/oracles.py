@@ -5,7 +5,8 @@ algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
 meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's and
 the group closure's references are the library's earlier, direct algorithms
-instead.
+instead, and so are the Fraction references of the rational kernels and of
+algebra element arithmetic.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from torsionlab.bounds import (
     closed_form_threshold,
     exponent_constants,
 )
-from torsionlab.algebras import AlgebraElement, SplitSemisimpleAlgebra
+from torsionlab.algebras import SplitSemisimpleAlgebra
 from torsionlab.errors import CapExceededError, ValidationError
 from torsionlab.glorbits import GROUP_SIZE_CAP
 from torsionlab.integers import factorize, nth_prime
-from torsionlab.linalg import ceil_root_fraction, identity, lcm, mat_add, mat_mul, rank, zeros
+from torsionlab.linalg import ceil_root_fraction, lcm, rank
 
 
 def jacobsthal_by_definition(d: int, window: int = 1 << 16) -> int:
@@ -185,6 +186,180 @@ def final_delta_by_rk_list(params) -> int:
 # must return exactly what ``rref_by_fractions`` returns, and each
 # constructor must raise exactly when the ``*_error_by_reference`` function
 # names a message, with that message.
+#
+# The kernels built on elimination (``span_leq``, ``nullspace``,
+# ``span_intersect``, ``solve``, ``mat_mul``) and algebra element arithmetic
+# as first written, one Fraction at a time, follow; the library computes
+# them in integers over one denominator and must agree exactly.  The
+# elimination they call is ``rref_by_fractions``.
+
+
+def zeros(n: int, m: int):
+    return tuple(tuple(Fraction(0) for _ in range(m)) for _ in range(n))
+
+
+def identity(n: int):
+    return tuple(
+        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
+    )
+
+
+def mat_mul(a, b):
+    """a @ b, each output row summed from the rows of b at the nonzero entries
+    of the row of a; no zero product is formed, so matrix units are cheap."""
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * (len(b[0]) if b else 0)
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(tuple(acc))
+    return tuple(out)
+
+
+def mat_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_sub(a, b):
+    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def mat_scale(c, a):
+    c = Fraction(c)
+    return tuple(tuple(c * x for x in row) for row in a)
+
+
+def span_leq_by_fractions(sub, sup) -> bool:
+    """True iff span(sub) is contained in span(sup)."""
+    base, pivots = rref_by_fractions(sup)
+    for vec in sub:
+        v = list(map(Fraction, vec))
+        for row, p in zip(base, pivots):
+            if v[p] != 0:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        if any(x != 0 for x in v):
+            return False
+    return True
+
+
+def span_intersect_by_fractions(a_basis, b_basis):
+    """Basis of span(a) ∩ span(b), by the kernel of the stacked coefficient map."""
+    a = [list(map(Fraction, r)) for r in a_basis]
+    b = [list(map(Fraction, r)) for r in b_basis]
+    if not a or not b:
+        return []
+    na, nb = len(a), len(b)
+    # solve sum x_i a_i - sum y_j b_j = 0; columns are the ambient coordinates
+    stacked = [[a[i][k] for i in range(na)] + [-b[j][k] for j in range(nb)]
+               for k in range(len(a[0]))]
+    out = []
+    for ker in nullspace_by_fractions(stacked):
+        vec = [sum(ker[i] * a[i][k] for i in range(na)) for k in range(len(a[0]))]
+        if any(x != 0 for x in vec):
+            out.append(vec)
+    base, _ = rref_by_fractions(out)
+    return base
+
+
+def nullspace_by_fractions(rows):
+    """Basis of the right kernel {x : rows @ x = 0}, free variables in order."""
+    base, pivots = rref_by_fractions(rows)
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    out = []
+    for fc in free:
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, p in zip(base, pivots):
+            v[p] = -row[fc]
+        out.append(v)
+    return out
+
+
+def solve_by_fractions(rows, rhs):
+    """One exact solution of rows @ x = rhs, or None if inconsistent.
+
+    Free variables are set to zero, which makes the answer deterministic
+    under the natural (lexicographic) column order.
+    """
+    if not rows:
+        return None
+    aug = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
+    base, pivots = rref_by_fractions(aug)
+    ncols = len(rows[0])
+    x = [Fraction(0)] * ncols
+    for row, p in zip(base, pivots):
+        if p == ncols:
+            return None  # pivot in the constant column: inconsistent
+        x[p] = row[ncols]
+    # verify (cheap, and guards against misuse with dependent rows)
+    for r, v in zip(rows, rhs):
+        if sum(Fraction(a) * b for a, b in zip(r, x)) != Fraction(v):
+            return None
+    return x
+
+
+# Algebra elements as first written: per-block Fraction matrices, with each
+# operation the matrix operation block by block.  These take and return the
+# per-block data (``AlgebraElement.data``).
+
+
+def blocks_add(x, y):
+    return tuple(mat_add(a, b) for a, b in zip(x, y))
+
+
+def blocks_sub(x, y):
+    return tuple(mat_sub(a, b) for a, b in zip(x, y))
+
+
+def blocks_mul(x, y):
+    return tuple(mat_mul(a, b) for a, b in zip(x, y))
+
+
+def blocks_scale(c, x):
+    return tuple(mat_scale(c, a) for a in x)
+
+
+def zeros_blocks(alg: SplitSemisimpleAlgebra):
+    return tuple(zeros(n, n) for n in alg.blocks)
+
+
+def identity_blocks(alg: SplitSemisimpleAlgebra):
+    return tuple(identity(n) for n in alg.blocks)
+
+
+def _block_coords(x):
+    return [v for mat in x for row in mat for v in row]
+
+
+def embedding_apply_by_fractions(emb, x):
+    """The image of the element with per-block data x: the coordinates of x
+    times the images' data, summed."""
+    out = zeros_blocks(emb.target)
+    for c, img in zip(_block_coords(x), emb.images):
+        if c:
+            out = blocks_add(out, blocks_scale(c, img.data))
+    return out
+
+
+def representation_apply_by_fractions(rep, x):
+    """The matrix by which the element with per-block data x acts."""
+    acc = [[Fraction(0)] * rep.space_dim for _ in range(rep.space_dim)]
+    for c, m in zip(_block_coords(x), rep.images):
+        if c:
+            for r in range(rep.space_dim):
+                row = m[r]
+                arow = acc[r]
+                for k in range(rep.space_dim):
+                    if row[k]:
+                        arow[k] += c * row[k]
+    return tuple(tuple(row) for row in acc)
 
 
 def rref_by_fractions(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
@@ -284,11 +459,13 @@ def embedding_error_by_reference(source: SplitSemisimpleAlgebra,
         for img in images:
             if img.parent != target:
                 raise ValidationError("embedding images live in the wrong algebra")
-        zero = target.zero()
-        if _unit_image(source, images, AlgebraElement.__add__, zero) != target.one():
+        # the images' per-block Fraction data, multiplied block by block
+        images = [img.data for img in images]
+        zero = zeros_blocks(target)
+        if _unit_image(source, images, blocks_add, zero) != identity_blocks(target):
             raise ValidationError("embedding does not preserve the unit")
-        check_matrix_units_all_pairs(source, images, AlgebraElement.__mul__, zero, "embedding")
-        if len(rref_by_fractions([img.coords() for img in images])[1]) != source.dim:
+        check_matrix_units_all_pairs(source, images, blocks_mul, zero, "embedding")
+        if len(rref_by_fractions([_block_coords(img) for img in images])[1]) != source.dim:
             raise ValidationError("embedding is not injective")
     except ValidationError as exc:
         return str(exc)

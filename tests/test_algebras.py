@@ -1,13 +1,22 @@
+import contextlib
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    blocks_add,
+    blocks_mul,
+    blocks_scale,
+    blocks_sub,
+    embedding_apply_by_fractions,
     embedding_error_by_reference,
+    representation_apply_by_fractions,
     representation_error_by_reference,
     rref_by_fractions,
+    zeros,
 )
 from torsionlab import linalg
 from torsionlab.algebras import (
@@ -68,6 +77,13 @@ def test_representation_rejects_unfaithful():
     # e1 acts as 1, e2 as 0: unital and multiplicative, but e2 acts trivially
     with pytest.raises(ValidationError, match="^representation is not faithful$"):
         Representation(A, 1, scalars(1, 0))
+
+
+def test_representation_on_the_zero_space_is_not_faithful():
+    A = SplitSemisimpleAlgebra((1,))
+    expected = "representation is not faithful"
+    assert representation_error_by_reference(A, 0, ((),)) == expected
+    assert _error(lambda: Representation(A, 0, ((),))) == expected
 
 
 @pytest.mark.parametrize("values, message", [
@@ -153,7 +169,7 @@ def test_representation_check_matches_the_all_pairs_reference(blocks, data):
     acting_alg = SplitSemisimpleAlgebra(tuple(n for n, on in zip(blocks, acting) if on))
     s = sum(acting_alg.blocks)
     std = iter(standard_representation(acting_alg).images)
-    zero = linalg.zeros(s, s)
+    zero = zeros(s, s)
     images = [next(std) if on else zero for n, on in zip(blocks, acting) for _ in range(n * n)]
     if draw(st.booleans()):  # conjugated by a random P, as user_rep requests are
         P, P_inv = _conjugator(draw, s)
@@ -220,14 +236,18 @@ def _counting(monkeypatch, owner, name, calls):
     monkeypatch.setattr(owner, name, counted)
 
 
+# both checks make 2*dim + k(k-1)/2 products for k blocks: 2*11 + 3 for (3, 1, 1);
+# a representation multiplies its images' integer forms by linalg.int_mat_mul
+
+
 def test_representation_check_makes_2dim_plus_k_k_minus_1_products(monkeypatch):
     A = SplitSemisimpleAlgebra((3, 1, 1))
     images = standard_representation(A).images
-    calls = {"mat_mul": 0, "rank": 0}
-    _counting(monkeypatch, linalg, "mat_mul", calls)
-    _counting(monkeypatch, linalg, "rank", calls)
+    calls = {"int_mat_mul": 0, "mat_mul": 0, "rank": 0}
+    for name in calls:
+        _counting(monkeypatch, linalg, name, calls)
     Representation(A, 5, images)
-    assert calls == {"mat_mul": 2 * 11 + 3 * 2, "rank": 0}
+    assert calls == {"int_mat_mul": 2 * 11 + 3, "mat_mul": 0, "rank": 0}
 
 
 def test_embedding_check_makes_2dim_plus_k_k_minus_1_products(monkeypatch):
@@ -238,7 +258,123 @@ def test_embedding_check_makes_2dim_plus_k_k_minus_1_products(monkeypatch):
     _counting(monkeypatch, AlgebraElement, "__mul__", calls)
     _counting(monkeypatch, linalg, "rank", calls)
     AlgebraEmbedding(M, N, images)
-    assert calls == {"__mul__": 2 * 11 + 3 * 2, "rank": 0}
+    assert calls == {"__mul__": 2 * 11 + 3, "rank": 0}
+
+
+# --- integer arithmetic against the per-block Fraction references ------------------
+
+_big = st.integers(-10 ** 30, 10 ** 30)
+_entries = st.one_of(
+    st.just(0), st.just(0), st.integers(-3, 3), _big,
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    st.builds(Fraction, _big, st.integers(1, 10 ** 20)),
+)
+
+
+def _element_data(draw, alg):
+    return tuple(tuple(tuple(draw(_entries) for _ in range(n)) for _ in range(n))
+                 for n in alg.blocks)
+
+
+@settings(max_examples=200)
+@given(_blocks, st.data())
+def test_element_arithmetic_matches_the_fraction_reference(blocks, data):
+    draw = data.draw
+    A = SplitSemisimpleAlgebra(tuple(blocks))
+    xd, yd = _element_data(draw, A), _element_data(draw, A)
+    if draw(st.booleans()):
+        yd = blocks_scale(draw(_entries), xd)  # often equal, proportional or zero
+    x, y = AlgebraElement(A, xd), AlgebraElement(A, yd)
+    c = draw(_entries)
+    for got, expected in ((x + y, blocks_add(xd, yd)), (x - y, blocks_sub(xd, yd)),
+                          (x * y, blocks_mul(xd, yd)), (y * x, blocks_mul(yd, xd)),
+                          (x.scale(c), blocks_scale(c, xd))):
+        assert got.data == expected
+        assert all(type(v) is Fraction for mat in got.data for row in mat for v in row)
+        assert got == AlgebraElement(A, expected)
+        assert hash(got) == hash(AlgebraElement(A, expected))
+        assert got.is_zero() == all(v == 0 for mat in expected for row in mat for v in row)
+    assert (x == y) == (xd == yd)
+    assert x.coords() == tuple(v for mat in xd for row in mat for v in row)
+    assert A.from_coords(x.coords()) == x
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@settings(max_examples=100)
+@given(_blocks, st.data())
+def test_embedding_and_representation_apply_match_the_fraction_reference(blocks, data):
+    draw = data.draw
+    M = SplitSemisimpleAlgebra(tuple(blocks))
+    N = SplitSemisimpleAlgebra((sum(blocks),) + tuple(blocks))
+    emb0 = diagonal_embedding(M, N, [list(range(len(blocks)))] + [[i] for i in range(len(blocks))])
+    # conjugated per target block, so the images are dense and rational
+    gs = [_conjugator(draw, n) for n in N.blocks]
+    images = tuple(AlgebraElement(N, tuple(mat_mul(mat_mul(g, m), g_inv)
+                                           for m, (g, g_inv) in zip(img.data, gs)))
+                   for img in emb0.images)
+    emb = AlgebraEmbedding(M, N, images)
+    s = sum(N.blocks)
+    P, P_inv = _conjugator(draw, s)
+    rep = Representation(N, s, tuple(mat_mul(mat_mul(P, m), P_inv)
+                                      for m in standard_representation(N).images))
+    x = AlgebraElement(M, _element_data(draw, M))
+    assert emb.apply(x).data == embedding_apply_by_fractions(emb, x.data)
+    z = AlgebraElement(N, _element_data(draw, N))
+    for elem in (z, emb.apply(x)):
+        applied = rep.apply(elem)
+        assert applied == representation_apply_by_fractions(rep, elem.data)
+        assert all(type(v) is Fraction for row in applied for v in row)
+    assert emb.preimage(emb.apply(x)) == x
+
+
+@contextlib.contextmanager
+def _counting_fractions():
+    """Record the arguments of every Fraction built inside the block."""
+    made = []
+    saved = Fraction.__dict__["__new__"]  # a staticmethod, put back as it was
+    real = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+    Fraction.__new__ = staticmethod(counted)
+    try:
+        yield made
+    finally:
+        Fraction.__new__ = saved
+
+
+def _dominant(rng, n):
+    """A diagonally dominant, hence invertible, rational g and its inverse."""
+    g = frac_rows([[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) + (i == j) * 20
+                    for j in range(n)] for i in range(n)])
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
+    return g, tuple(tuple(row[n:]) for row in rref_by_fractions(aug)[0])
+
+
+def test_products_and_the_matrix_unit_checks_build_no_fraction():
+    import random
+
+    rng = random.Random(3)
+    M = SplitSemisimpleAlgebra((2, 1))
+    N = SplitSemisimpleAlgebra((3, 2))
+    gs = [_dominant(rng, n) for n in N.blocks]
+    images = tuple(AlgebraElement(N, tuple(mat_mul(mat_mul(g, m), g_inv)
+                                           for m, (g, g_inv) in zip(img.data, gs)))
+                   for img in diagonal_embedding(M, N, [[0, 1], [0]]).images)
+    P, P_inv = _dominant(rng, 5)
+    rep_images = [standard_representation(N).images]
+    rep_images.append(tuple(mat_mul(mat_mul(P, m), P_inv) for m in rep_images[0]))
+    x, y = images[1], images[2]
+    assert x.den > 1 and y.den > 1  # dense rational images
+    with _counting_fractions() as made:
+        AlgebraEmbedding(M, N, images)
+        for imgs in rep_images:
+            Representation(N, 5, imgs)
+        x * y
+        assert made == []
+        x.coords()  # reading Fractions back builds them: one per nonzero entry, one zero
+        assert len(made) == 1 + sum(1 for v in x.num if v)
 
 
 # --- right ideal generator -------------------------------------------------------

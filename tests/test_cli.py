@@ -232,6 +232,83 @@ def test_idempotent_lift_central_command(tmp_path, capsys):
     assert doc["v"] == [[[[0, 1]]]]
 
 
+# stdout of idempotent-lift(-central) on requests drawn by perfbench/gen.py, as the
+# per-block Fraction implementation of the algebra layer printed it; the third input
+# carries a dense representation conjugated by a random P.  Each input is the JSON
+# text of an --input file.
+ALGEBRA_PINNED = [
+    # idempotent_lift(seed=7), request 11 (lift)
+    ('idempotent-lift',
+     (
+         '{"M":[1,2],"N":[2,1],"embedding":[[[[0,0],[0,0]],[[1]]],[[[[2,5],[-3,5]],[[-2,5]'
+         ',[3,5]]],[[0]]],[[[[1,5],[1,5]],[[-1,5],[-1,5]]],[[0]]],[[[[6,5],[-9,5]],[[4,5],'
+         '[-6,5]]],[[0]]],[[[[3,5],[3,5]],[[2,5],[2,5]]],[[0]]]],"u":[[[[-3,4],[3,4]],[[-7'
+         ',4],[7,4]]],[[1]]],"w":[[[1]],[[0,0],[0,0]]]}'
+     ),
+     '{"M":[1,2],"idempotent":true,"v":[[[[1,1]]],[[[1,1],[0,1]],[[-2,3],[0,1]]]]}\n'),
+    # idempotent_lift(seed=7), request 12 (lift)
+    ('idempotent-lift',
+     (
+         '{"M":[1,2],"N":[1,2,1],"embedding":[[[[1]],[[0,0],[0,0]],[[1]]],[[[0]],[[-1,-3],'
+         '[[2,3],2]],[[0]]],[[[0]],[[-2,-3],[[4,3],2]],[[0]]],[[[0]],[[1,3],[[-1,3],-1]],['
+         '[0]]],[[[0]],[[2,3],[[-2,3],-1]],[[0]]]],"u":[[[1]],[[[-3,2],-3],[[5,4],[5,2]]],'
+         '[[1]]],"w":[[[1]],[[[3,4],[3,4]],[[1,4],[1,4]]]]}'
+     ),
+     '{"M":[1,2],"idempotent":true,"v":[[[[1,1]]],[[[1,1],[0,1]],[[1,3],[0,1]]]]}\n'),
+    # idempotent_lift(seed=8), request 35 (user_rep)
+    ('idempotent-lift',
+     (
+         '{"M":[2],"N":[2],"embedding":[[[[[-1,5],[3,5]],[[-2,5],[6,5]]]],[[[[2,5],[-1,5]]'
+         ',[[4,5],[-2,5]]]],[[[[-3,5],[9,5]],[[-1,5],[3,5]]]],[[[[6,5],[-3,5]],[[2,5],[-1,'
+         '5]]]]],"u":[[[[3,5],[-3,10]],[[-4,5],[2,5]]]],"w":[[[0,[-3,2]],[0,1]]],"represen'
+         'tation":{"images":[[[-3,-6],[2,4]],[[-6,-9],[4,6]],[[2,4],[-1,-2]],[[4,6],[-2,-3'
+         ']]],"space_dim":2}}'
+     ),
+     '{"M":[2],"idempotent":true,"v":[[[[1,1],[0,1]],[[-2,3],[0,1]]]]}\n'),
+    # idempotent_lift(seed=7), request 29 (lift_central)
+    ('idempotent-lift-central',
+     (
+         '{"M":[1,2],"N":[2,1,2],"embedding":[[[[0,0],[0,0]],[[1]],[[0,0],[0,0]]],[[[[3,2]'
+         ',[-3,2]],[[1,2],[-1,2]]],[[0]],[[1,0],[-1,0]]],[[[[3,4],[-9,4]],[[1,4],[-3,4]]],'
+         '[[0]],[[1,1],[-1,-1]]],[[[-1,1],[-1,1]],[[0]],[[0,0],[1,0]]],[[[[-1,2],[3,2]],[['
+         '-1,2],[3,2]]],[[0]],[[0,0],[1,1]]]],"u":[[[[7,6],[-7,6]],[[1,6],[-1,6]]],[[1]],['
+         '[1,0],[0,1]]],"w":[[[1]],[[1,0],[[1,3],0]]],"pi":[[[0,0],[0,0]],[[1]],[[1,0],[0,'
+         '1]]]}'
+     ),
+     '{"M":[1,2],"idempotent":true,"v":[[[[0,1]]],[[[9,7],[-6,7]],[[3,7],[-2,7]]]]}\n'),
+    # idempotent_lift(seed=7), request 30 (lift_central)
+    ('idempotent-lift-central',
+     (
+         '{"M":[1,2],"N":[2,1,2],"embedding":[[[[0,0],[0,0]],[[1]],[[1,0],[0,1]]],[[[0,0],'
+         '[[3,2],1]],[[0]],[[0,0],[0,0]]],[[[0,0],[[-1,2],0]],[[0]],[[0,0],[0,0]]],[[[-3,-'
+         '2],[[9,2],3]],[[0]],[[0,0],[0,0]]],[[[1,0],[[-3,2],0]],[[0]],[[0,0],[0,0]]]],"u"'
+         ':[[[2,1],[-2,-1]],[[1]],[[1,0],[0,1]]],"w":[[[1]],[[0,0],[0,0]]],"pi":[[[0,0],[0'
+         ',0]],[[0]],[[0,0],[0,0]]]}'
+     ),
+     '{"M":[1,2],"idempotent":true,"v":[[[[1,1]]],[[[1,1],[0,1]],[[-1,1],[0,1]]]]}\n'),
+    # idempotent_lift(seed=8), request 30 (lift_central)
+    ('idempotent-lift-central',
+     (
+         '{"M":[1,2],"N":[1,2,2],"embedding":[[[[1]],[[1,0],[0,1]],[[0,0],[0,0]]],[[[0]],['
+         '[0,0],[0,0]],[[[1,2],-1],[[-1,4],[1,2]]]],[[[0]],[[0,0],[0,0]],[[[-1,2],-1],[[1,'
+         '4],[1,2]]]],[[[0]],[[0,0],[0,0]],[[[-1,2],1],[[-1,4],[1,2]]]],[[[0]],[[0,0],[0,0'
+         ']],[[[1,2],1],[[1,4],[1,2]]]]],"u":[[[0]],[[0,-3],[0,1]],[[[2,3],[-4,3]],[[-1,6]'
+         ',[1,3]]]],"w":[[[0]],[[1,0],[[-1,3],0]]],"pi":[[[1]],[[1,0],[0,1]],[[0,0],[0,0]]'
+         ']}'
+     ),
+     '{"M":[1,2],"idempotent":true,"v":[[[[0,1]]],[[[3,4],[-3,4]],[[-1,4],[1,4]]]]}\n'),
+]
+
+
+@pytest.mark.parametrize("command, payload, stdout", ALGEBRA_PINNED,
+                         ids=["%s-%d" % (p[0], k) for k, p in enumerate(ALGEBRA_PINNED)])
+def test_algebra_stdout_is_pinned(tmp_path, capsys, command, payload, stdout):
+    path = tmp_path / "instance.json"
+    path.write_text(payload)
+    code, out, err = run_cli([command, "--input", str(path)], capsys)
+    assert (code, out, err) == (0, stdout, "")
+
+
 def test_group_cap_env_exit_2(tmp_path, capsys, monkeypatch):
     payload = {
         "ell": 5,

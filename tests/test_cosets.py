@@ -2,8 +2,6 @@ import itertools
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import torsionlab.cosets as cst
 from torsionlab.cosets import (
@@ -11,14 +9,10 @@ from torsionlab.cosets import (
     ModelSubvariety,
     TorsionCoset,
     all_summands,
-    corhin_derive,
-    coset_order,
     degree_pushforward,
     enumerate_summands,
-    hindry_criterion,
     keyprop_witness,
     lang_orbit,
-    multiply_coset,
     special_closure,
     summands_within,
     torsion_count,
@@ -113,7 +107,7 @@ def test_lang_orbit_refuses_an_order_beyond_the_cap():
     assert len(lang_orbit(ModelAmbient(13, 1), (1, 0), 1, cap=13)) == 12
 
 
-# --- coset order and multiplication ------------------------------------------
+# --- coset order ------------------------------------------------------------------
 
 
 def test_coset_order_examples():
@@ -122,40 +116,6 @@ def test_coset_order_examples():
     assert inside.order == 1
     assert TorsionCoset((1, 0, 0, 0), B).order == 6
     assert TorsionCoset((2, 0, 0, 0), B).order == 3
-
-
-def test_multiply_coset():
-    amb = ModelAmbient(5, 1)
-    B = ModelSubvariety(amb, ())
-    x = TorsionCoset((1, 2), B)
-    assert multiply_coset(1, x).same_coset(x)
-    y = multiply_coset(7, x)  # 7 = 2 mod 5
-    assert y.point == (2, 4)
-    assert y.order == x.order
-    with pytest.raises(ValidationError):
-        multiply_coset(2, TorsionCoset((1, 0), _summand(6, 1, [])))
-
-
-@given(st.integers(1, 40), st.integers(1, 40))
-def test_multiply_coset_composition(q1, q2):
-    amb = ModelAmbient(7, 1)
-    B = ModelSubvariety(amb, ())
-    x = TorsionCoset((3, 1), B)
-    if gcd(q1 * q2, 7) != 1:
-        return
-    lhs = multiply_coset(q1 * q2, x)
-    rhs = multiply_coset(q1, multiply_coset(q2, x))
-    assert lhs.same_coset(rhs)
-
-
-def test_multiply_coset_permutes_cosets():
-    amb = ModelAmbient(6, 1)
-    B = _summand(6, 1, [])
-    cosets = [TorsionCoset((i, j), B) for i in range(6) for j in range(6)]
-    for q in (5, 7, 11):
-        images = [multiply_coset(q, x) for x in cosets]
-        seen = set(x.point for x in images)
-        assert len(seen) == len(cosets)
 
 
 # --- torsion counts -----------------------------------------------------------
@@ -194,63 +154,18 @@ def test_pushforward_model_single_coset_q_divides_N():
         assert degree_pushforward(1, B.dim, bq, q) * bq == q ** (2 * B.dim)
 
 
-def test_corhin_examples():
-    assert corhin_derive(1, 1, 2, 3) == (4, 9, 36)
-    assert corhin_derive(5, 0, 3, 7) == (1, 1, 1)
-    with pytest.raises(ValidationError):
-        corhin_derive(1, 1, 2, 4)
-
-
 def test_corhin_model_cross_check():
-    # V = B itself inside (Z/6)^4 is fixed by [q] on cosets, and the forced
-    # torsion counts match the true #B[q]
+    # V = B itself inside (Z/6)^4 is fixed by [q] on cosets for q prime to 6,
+    # and the torsion counts match the true #B[q]
     B = _summand(6, 2, [(1, 0, 1, 2), (0, 1, 4, 3)])
-    forced = corhin_derive(1, B.dim, 5, 7)
-    assert forced == (torsion_count(B, 5) * 25, torsion_count(B, 7) * 49, 25 * 49)
+    points = B.elements()
+    for q in (5, 7):
+        assert frozenset(B.ambient.scale(q, p) for p in points) == points
+        assert torsion_count(B, q) == 1
     # and for q dividing N the count matches enumeration
-    assert torsion_count(B, 2) == 4
-    assert torsion_count(B, 3) == 9
-    assert torsion_count(B, 6) == 36
-
-
-# --- Hindry criterion ----------------------------------------------------------
-
-
-def test_hindry_degenerate_witness():
-    amb = ModelAmbient(5, 1)
-    B = ModelSubvariety(amb, ())
-    rep = hindry_criterion([TorsionCoset((0, 0), B)], 2, 3)
-    assert rep.hypothesis_holds and rep.special and rep.degree == 1
-    assert rep.degree_condition_holds
-
-
-def test_hindry_hypothesis_fails():
-    amb = ModelAmbient(5, 1)
-    B = ModelSubvariety(amb, ())
-    rep = hindry_criterion([TorsionCoset((1, 0), B)], 2, 3)
-    assert not rep.hypothesis_holds
-
-
-def test_hindry_vacuous():
-    rep = hindry_criterion([], 2, 3)
-    assert rep.hypothesis_holds and rep.degree == 0
-
-
-def test_hindry_rejects_mixed_ambients():
-    a = TorsionCoset((0, 0), ModelSubvariety(ModelAmbient(5, 1), ()))
-    b = TorsionCoset((0, 0), ModelSubvariety(ModelAmbient(7, 1), ()))
-    with pytest.raises(ValidationError):
-        hindry_criterion([a, b], 2, 3)
-
-
-def test_hindry_coset_level_stability():
-    # full Lang block of a point of order 5 is permuted by [2] and [3]
-    amb = ModelAmbient(5, 2)
-    B = ModelSubvariety(amb, ((0, 0, 1, 0), (0, 0, 0, 1)))
-    V = [TorsionCoset((s, 0, 0, 0), B) for s in (1, 2, 3, 4)]
-    rep = hindry_criterion(V, 2, 3)
-    assert rep.hypothesis_holds
-    assert rep.degree == 4
+    for q, count in ((2, 4), (3, 9), (6, 36)):
+        assert torsion_count(B, q) == count
+        assert sum(1 for p in points if B.ambient.scale(q, p) == B.ambient.zero()) == count
 
 
 # --- summand enumeration --------------------------------------------------------

@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import rref_by_fractions
+from oracles import (
+    mat_mul as mat_mul_by_fractions,
+    nullspace_by_fractions,
+    rref_by_fractions,
+    solve_by_fractions,
+    span_intersect_by_fractions,
+    span_leq_by_fractions,
+)
 from torsionlab.bounds import _prime_upper
 from torsionlab.cosets import (
     ModelAmbient,
@@ -221,6 +228,85 @@ def test_rref_edge_shapes():
         assert rref(rows, 5) == rref_by_fractions(rows, 5)
 
 
+
+# --- the rational kernels against their Fraction references -----------------------
+
+
+def _rows_of(ncols: int):
+    return st.lists(st.lists(_q_entries, min_size=ncols, max_size=ncols), max_size=4)
+
+
+def _combination(data, rows, ncols):
+    """A drawn combination of the rows, with rational coefficients."""
+    coeffs = data.draw(st.lists(_q_entries, min_size=len(rows), max_size=len(rows)))
+    return [sum((Fraction(c) * Fraction(r[j]) for c, r in zip(coeffs, rows)), Fraction(0))
+            for j in range(ncols)]
+
+
+@settings(max_examples=200)
+@given(_matrices(_q_entries), st.data())
+def test_solve_matches_the_fraction_reference(rows, data):
+    # half the right-hand sides are rows @ x0 for a drawn x0, so consistent;
+    # the others are drawn freely, and with zero or duplicate rows often
+    # inconsistent
+    if rows and data.draw(st.booleans()):
+        x0 = data.draw(st.lists(_q_entries, min_size=len(rows[0]), max_size=len(rows[0])))
+        rhs = [sum((Fraction(a) * b for a, b in zip(r, x0)), Fraction(0)) for r in rows]
+    else:
+        rhs = data.draw(st.lists(_q_entries, min_size=len(rows), max_size=len(rows)))
+    x = solve(rows, rhs)
+    assert x == solve_by_fractions(rows, rhs)
+    assert x is None or all(type(v) is Fraction for v in x)
+
+
+def test_solve_reports_inconsistent_systems():
+    big = 10 ** 30 + 7
+    assert solve([[1, 2], [2, 4]], [1, 3]) is None
+    assert solve([[0, 0]], [Fraction(1, big)]) is None
+    assert solve([[Fraction(1, big), 0], [1, 0]], [1, 1]) is None
+    assert solve([[Fraction(1, big), 0], [1, 0]], [1, big]) == [big, 0]
+
+
+@settings(max_examples=200)
+@given(_matrices(_q_entries), st.data())
+def test_span_leq_matches_the_fraction_reference(sup, data):
+    ncols = len(sup[0]) if sup else data.draw(st.integers(1, 8))
+    sub = data.draw(_rows_of(ncols))
+    if sup and data.draw(st.booleans()):
+        sub.append(_combination(data, sup, ncols))
+    assert span_leq(sub, sup) == span_leq_by_fractions(sub, sup)
+
+
+@settings(max_examples=200)
+@given(_matrices(_q_entries), st.data())
+def test_span_intersect_matches_the_fraction_reference(a, data):
+    ncols = len(a[0]) if a else data.draw(st.integers(1, 8))
+    b = data.draw(_rows_of(ncols))
+    if a and data.draw(st.booleans()):
+        b.append(_combination(data, a, ncols))  # so the intersection is often nonzero
+    inter = span_intersect(a, b)
+    assert inter == span_intersect_by_fractions(a, b)
+    assert all(type(x) is Fraction for r in inter for x in r)
+
+
+@settings(max_examples=200)
+@given(_matrices(_q_entries))
+def test_nullspace_matches_the_fraction_reference(rows):
+    kernel = nullspace(rows)
+    assert kernel == nullspace_by_fractions(rows)
+    assert all(type(x) is Fraction for v in kernel for x in v)
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.data())
+def test_mat_mul_matches_the_fraction_reference(n, k, m, data):
+    a = tuple(tuple(data.draw(_q_entries) for _ in range(k)) for _ in range(n))
+    b = tuple(tuple(data.draw(_q_entries) for _ in range(m)) for _ in range(k))
+    prod = mat_mul(a, b)
+    assert prod == mat_mul_by_fractions(a, b)
+    assert all(type(x) is Fraction for row in prod for x in row)
+
+
 def _leibniz_det(m):
     n = len(m)
     total = 0
@@ -418,17 +504,17 @@ def test_keyprop_matches_brute_force_minimum():
         assert wit.order == best_order
 
 
-# --- multiplicate coset order preservation -------------------------------------
+# --- multiplicative coset order preservation -------------------------------------
 
 
 @given(st.integers(1, 60))
 def test_multiply_coset_preserves_order(q):
+    # [q] on cosets is q * point + the same subgroup; for gcd(q, N) = 1 it is
+    # invertible, so it keeps the coset order
     amb = ModelAmbient(12, 1)
     B = next(iter(all_summands(amb, cap=200000)))
     if gcd(q, 12) != 1:
         return
     for pt in [(1, 0), (2, 3), (4, 6), (0, 0)]:
-        from torsionlab.cosets import multiply_coset
-
         x = TorsionCoset(pt, B)
-        assert multiply_coset(q, x).order == x.order
+        assert TorsionCoset(amb.scale(q, pt), B).order == x.order
