@@ -15,7 +15,9 @@ products are integer vector operations over one denominator; the per-block
 Fraction matrices (``data``) and the coordinates (``coords``) are built only
 when a caller reads them.  A representation keeps each image as an integer
 matrix over its denominator, and spans enter elimination as integer rows,
-since a positive scale changes no span.
+since a positive scale changes no span.  Internal spans are held as
+canonical integer bases (``linalg.span_basis``), and internal solves return
+integer solutions over one denominator, so the lifts build no Fraction.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from operator import mul
 
 from .errors import InternalCheckError, ValidationError
 from . import linalg
-from .linalg import Matrix, frac_rows, over_one_den, rref, span_intersect, span_leq
+from .linalg import (Matrix, frac_rows, int_span_intersect, over_one_den, rref, span_basis,
+                     span_leq)
 
 #: the command line refuses algebras of larger dimension: the matrix-unit
 #: check multiplies 2*dim + k(k-1)/2 pairs of dense rational matrices (k
@@ -211,29 +214,28 @@ class AlgebraElement:
             raise ValidationError("elements of different algebras")
 
 
-def _span_elements(alg: SplitSemisimpleAlgebra, elements) -> list:
-    """Canonical (rref) basis of the span, returned as coordinate rows.
+def _span_elements(alg: SplitSemisimpleAlgebra, elements) -> list[list[int]]:
+    """Canonical integer basis (``linalg.span_basis``) of the span, as
+    coordinate rows.
 
     Each element enters elimination as its integer vector num, a positive
     multiple of its coordinates."""
-    base, _ = rref([e.num for e in elements])
-    return base
+    return span_basis([e.num for e in elements])
 
 
 def _integer_basis(alg: SplitSemisimpleAlgebra, rows) -> list[AlgebraElement]:
-    """The elements with the given coordinate rows, each scaled by the
-    positive lcm of its denominators to integer coordinates."""
-    return [AlgebraElement._of(alg, over_one_den(row)[0], 1) for row in rows]
+    """The elements with the given integer coordinate rows."""
+    return [AlgebraElement._of(alg, row, 1) for row in rows]
 
 
 def _coefficients(elems, target: AlgebraElement):
-    """``linalg.solve`` for t with sum t_i * elems[i] = target (free variables
-    zero), or None.  The columns and the right-hand side are cleared over
-    one common denominator; scaling the whole system by it changes no
-    solution."""
+    """``linalg.int_solve`` for t with sum t_i * elems[i] = target (free
+    variables zero): (T, den) with t = T / den, or None.  The columns and the
+    right-hand side are cleared over one common denominator; scaling the
+    whole system by it changes no solution."""
     den = lcm(target.den, *(x.den for x in elems))
     cols = [[v * (den // x.den) for v in x.num] for x in elems]
-    return linalg.solve(list(zip(*cols)), [v * (den // target.den) for v in target.num])
+    return linalg.int_solve(list(zip(*cols)), [v * (den // target.den) for v in target.num])
 
 
 def _lowest(rows, den: int):
@@ -346,7 +348,7 @@ class AlgebraEmbedding:
         sol = _coefficients(self.images, elem)
         if sol is None:
             return None
-        return self.source.from_coords(sol)
+        return AlgebraElement._of(self.source, *sol)
 
 
 def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra,
@@ -369,28 +371,50 @@ def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAl
     return AlgebraEmbedding(source, target, tuple(images))
 
 
-@dataclass(frozen=True)
 class Representation:
-    """A faithful unital action of the algebra on Q^space_dim."""
+    """A faithful unital action of the algebra on Q^space_dim.
 
-    algebra: SplitSemisimpleAlgebra
-    space_dim: int
-    images: tuple[Matrix, ...]  # one space matrix per algebra basis element
+    ``Representation(algebra, space_dim, images)`` takes one rational space
+    matrix per algebra basis element.  Each image is held as an integer
+    matrix form (rows, den) in lowest terms; ``images`` reads the matrices
+    back in Fractions, built on first read for a representation made from
+    its forms (``standard_representation``).  Either way ``__post_init__``
+    checks the action in full.
+    """
+
+    __slots__ = ("algebra", "space_dim", "_images", "_forms", "_den", "_flat")
+
+    def __init__(self, algebra: SplitSemisimpleAlgebra, space_dim: int, images):
+        self.algebra, self.space_dim = algebra, space_dim
+        self._images, self._forms = images, None
+        self.__post_init__()
+
+    @classmethod
+    def _of_forms(cls, algebra: SplitSemisimpleAlgebra, space_dim: int, forms):
+        """The representation whose images have the given integer matrix
+        forms, each (rows, den) in lowest terms and of the right shape."""
+        self = object.__new__(cls)
+        self.algebra, self.space_dim = algebra, space_dim
+        self._images, self._forms = None, tuple(forms)
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
-        if len(self.images) != self.algebra.dim:
-            raise ValidationError("representation needs one matrix per basis element")
-        for m in self.images:
-            if len(m) != self.space_dim or any(len(r) != self.space_dim for r in m):
-                raise ValidationError("representation matrix of wrong shape")
-        # each image as an integer matrix over its denominator, in lowest
-        # terms, for the checks; and flattened over one common denominator,
-        # for apply
-        forms = tuple(map(linalg.int_matrix, self.images))
+        """Check the images: their shapes, when given as matrices, then the
+        unit and the matrix-unit relations, and faithfulness."""
+        if self._forms is None:
+            if len(self._images) != self.algebra.dim:
+                raise ValidationError("representation needs one matrix per basis element")
+            for m in self._images:
+                if len(m) != self.space_dim or any(len(r) != self.space_dim for r in m):
+                    raise ValidationError("representation matrix of wrong shape")
+            self._forms = tuple(map(linalg.int_matrix, self._images))
+        forms = self._forms
+        # the forms flattened over one common denominator, for apply
         den = lcm(*(d for _, d in forms))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_flat", tuple(
-            tuple(x * (den // d) for row in rows for x in row) for rows, d in forms))
+        self._den = den
+        self._flat = tuple(tuple(x * (den // d) for row in rows for x in row)
+                           for rows, d in forms)
         s = self.space_dim
         ident = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
         if self._form(self.algebra.one()) != (ident, 1):
@@ -400,6 +424,16 @@ class Representation:
                                       self._form, zero, "representation")
         if any(corner == zero for corner in corners):
             raise ValidationError("representation is not faithful")
+
+    @property
+    def images(self) -> tuple[Matrix, ...]:
+        """One space matrix per algebra basis element, in Fractions."""
+        if self._images is None:
+            zero = Fraction(0)
+            self._images = tuple(
+                tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in rows)
+                for rows, den in self._forms)
+        return self._images
 
     def _form(self, elem: AlgebraElement):
         """The action of elem as an integer matrix form (rows, den) in lowest terms."""
@@ -419,19 +453,22 @@ class Representation:
 
 
 def standard_representation(alg: SplitSemisimpleAlgebra) -> Representation:
-    """Column action on the direct sum of the block column spaces."""
+    """Column action on the direct sum of the block column spaces: the matrix
+    unit (i, j) of block b acts as the matrix unit (o + i, o + j) of the
+    space, o the offset of block b.  Its integer forms are built directly."""
     s = sum(alg.blocks)
-    offsets = []
+    zero = (0,) * s
+    units = [zero[:c] + (1,) + zero[c + 1:] for c in range(s)]
+    forms = []
     off = 0
     for n in alg.blocks:
-        offsets.append(off)
+        for i in range(n):
+            for j in range(n):
+                rows = [zero] * s
+                rows[off + i] = units[off + j]
+                forms.append((tuple(rows), 1))
         off += n
-    images = []
-    for bi, i, j in alg.basis_indices():
-        rows = [[Fraction(0)] * s for _ in range(s)]
-        rows[offsets[bi] + i][offsets[bi] + j] = Fraction(1)
-        images.append(tuple(tuple(r) for r in rows))
-    return Representation(alg, s, tuple(images))
+    return Representation._of_forms(alg, s, forms)
 
 
 def column_space(mat: Matrix) -> list:
@@ -441,12 +478,12 @@ def column_space(mat: Matrix) -> list:
     return base
 
 
-def _colspan_sum(mats) -> list:
+def _colspan_sum(mats) -> list[list[int]]:
+    """Canonical integer basis of the sum of the column spaces."""
     vecs = []
     for m in mats:
         vecs.extend(zip(*m))
-    base, _ = rref(vecs)
-    return base
+    return span_basis(vecs)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +493,10 @@ def _colspan_sum(mats) -> list:
 def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str):
     """Solve for e in span(basis) with e*x = x for every x in the span.
 
-    ``basis`` is the canonical (rref) basis of a right ideal, used as it
-    comes.  Each basis row is scaled to integers first: that multiplies each
-    unknown's column and each basis row's group of equations by a positive
-    factor, so the solution with free variables zero, and hence e, is
-    unchanged.  Returns e, or None for
-    the zero ideal.  Inconsistency is an internal error: in a semisimple
-    algebra every right ideal has an idempotent generator.
+    ``basis`` is the canonical integer basis of a right ideal, used as it
+    comes.  Returns e, or None for the zero ideal.  Inconsistency is an
+    internal error: in a semisimple algebra every right ideal has an
+    idempotent generator.
     """
     if not basis:
         return None  # the zero ideal
@@ -473,16 +507,16 @@ def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str):
     for x in xs:
         system.extend(zip(*[(v * x).num for v in xs]))
         rhs.extend(x.num)
-    sol = linalg.solve(system, rhs)
+    sol = linalg.int_solve(system, rhs)
     if sol is None:
         raise InternalCheckError("no idempotent generator found for %s" % label)
     return _combination(alg, sol, xs)
 
 
 def _combination(alg: SplitSemisimpleAlgebra, coeffs, elems) -> AlgebraElement:
-    """sum coeffs[i] * elems[i] for integer-coordinate elems, over the
-    common denominator of the coefficients."""
-    tn, td = over_one_den(coeffs)
+    """sum t_i * elems[i] for integer-coordinate elems, with the
+    coefficients t = T / den given as (T, den)."""
+    tn, td = coeffs
     acc = [0] * alg.dim
     for t, x in zip(tn, elems):
         if t:
@@ -522,8 +556,8 @@ def _check_idempotent(x: AlgebraElement, name: str):
         raise ValidationError("%s must be idempotent" % name)
 
 
-def _image_span(rep: Representation, elems) -> list:
-    """Canonical basis of the sum of the column spaces of the elements'
+def _image_span(rep: Representation, elems) -> list[list[int]]:
+    """Canonical integer basis of the sum of the column spaces of the elements'
     actions; each action enters as its integer matrix, which is the action
     times its positive denominator."""
     return _colspan_sum([rep._form(x)[0] for x in elems])
@@ -554,10 +588,10 @@ def lift_idempotent(
 
     uN = _span_elements(N, [u * x for x in N.basis()])
     m_embedded = _span_elements(N, emb.images)
-    inter = span_intersect(uN, m_embedded)
+    inter = int_span_intersect(uN, m_embedded)
     ideal_in_m = []
-    for vec in inter:
-        pre = emb.preimage(N.from_coords(vec))
+    for x in _integer_basis(N, inter):
+        pre = emb.preimage(x)
         if pre is None:
             raise InternalCheckError("intersection escaped the embedded subalgebra")
         ideal_in_m.append(pre)
@@ -652,7 +686,7 @@ def lift_idempotent_central(
     s_gens = m_images + [x * pi for x in m_images]
     s_span = _span_elements(N, s_gens)
     ideal_span = _span_elements(N, [u * x for x in n_basis] + pi_n)
-    x_pi = span_intersect(ideal_span, s_span)
+    x_pi = int_span_intersect(ideal_span, s_span)
 
     m0 = _idempotent_generator(N, x_pi, "X_pi")
     if m0 is None:
@@ -662,22 +696,20 @@ def lift_idempotent_central(
     sol = _coefficients(s_gens, m0)
     if sol is None:
         raise InternalCheckError("generator fell outside M + M*pi")
-    dm = M.dim
-    m1 = M.from_coords(sol[:dm])
+    m1 = AlgebraElement._of(M, sol[0][:M.dim], sol[1])
 
     # K = M ∩ pi*S, a two-sided ideal of M; its unit is central in M
     pi_s = _span_elements(N, [pi * x for x in _integer_basis(N, s_span)])
-    k_n = span_intersect(_span_elements(N, m_images), pi_s)
+    k_n = int_span_intersect(_span_elements(N, m_images), pi_s)
     k_in_m = []
-    for vec in k_n:
-        pre = emb.preimage(N.from_coords(vec))
+    for x in _integer_basis(N, k_n):
+        pre = emb.preimage(x)
         if pre is None:
             raise InternalCheckError("K escaped the embedded subalgebra")
         k_in_m.append(pre)
     if k_in_m:
         # unknowns t_i; equations y*x = x and x*y = x for y = sum t_i k_i, per
-        # coordinate; the canonical basis of K is scaled to integers, which
-        # leaves the solution y unchanged (see _idempotent_generator)
+        # coordinate, over the canonical integer basis of K
         k_elems = _integer_basis(M, _span_elements(M, k_in_m))
         system_k = []
         rhs_k = []
@@ -686,7 +718,7 @@ def lift_idempotent_central(
             rhs_k.extend(x.num)
             system_k.extend(zip(*[(x * y).num for y in k_elems]))
             rhs_k.extend(x.num)
-        sol_k = linalg.solve(system_k, rhs_k)
+        sol_k = linalg.int_solve(system_k, rhs_k)
         if sol_k is None:
             raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
         e = _combination(M, sol_k, k_elems)

@@ -1,14 +1,18 @@
 """Command-line front end: every operation, machine-readable output.
 
-Exit codes: 0 success, 1 validation error, 2 cap exceeded, 3 internal
-invariant violation.  Errors print a single machine-readable line on stderr.
-Caps may be overridden with ARITH_MM_CAPS=<ambient>,<group>,<lattice>
-(empty slots keep defaults).
+Exit codes: 0 success, 1 validation error (argument errors included), 2 cap
+exceeded, 3 internal invariant violation.  Errors print a single
+machine-readable line on stderr.  Caps may be overridden with
+ARITH_MM_CAPS=<ambient>,<group>,<lattice> (empty slots keep defaults).
+
+The argument parser is a constant of the program: it is built on the first
+``main`` call and reused by every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -369,8 +373,21 @@ def _cmd_selftest(args, caps):
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors raise ValidationError (exit 1, one
+    stderr line) instead of printing usage and exiting 2; its subparsers
+    are of the same class."""
+
+    def error(self, message):
+        # argparse quotes the offending argument, which may be megabytes long
+        raise ValidationError(message if len(message) <= 300 else message[:300] + "...")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The parser of every subcommand, built once per process.  Parsing
+    reads it and mutates nothing, and each parse returns a fresh namespace."""
+    ap = _Parser(
         prog="torsionlab",
         description="Exact arithmetic for torsion cosets: Jacobsthal machinery, "
         "effective order thresholds, orbit densities, idempotent lifting.",
@@ -452,9 +469,8 @@ def main(argv=None) -> int:
     # here, not at import, so importing torsionlab leaves the interpreter alone
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(2_000_000)
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         caps = _caps_from_env()
         report = args.handler(args, caps)
     except ValidationError as exc:

@@ -301,8 +301,15 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
         ):
             best = (W, n, e)
     W = best[0]
-    span = subspace_from_vectors(list(orb & W.points()), G.ell, G.dim)
-    if span.basis != W.basis:
+    # the orbit points in W span W iff they reach rank dim W, since each lies
+    # in W; a greedy pick of independent ones stops at dim W of them
+    picked = []
+    for p in orb & W.points():
+        if len(picked) == W.dim:
+            break
+        if rank(picked + [p], G.ell) > len(picked):
+            picked.append(p)
+    if len(picked) < W.dim:
         raise InternalCheckError("extremal subspace not generated by its orbit points")
     return W
 

@@ -6,6 +6,9 @@ returned as tuples of tuples of Fractions, but the kernels compute in
 integers: a rational row or matrix is cleared to integer entries over one
 common denominator (``over_one_den``, ``int_matrix``), eliminated and
 multiplied in ints, and a Fraction is built only for an output entry.
+Callers that go on computing in integers take the integer results
+directly: ``span_basis`` and ``int_span_intersect`` (a canonical integer
+basis of a span) and ``int_solve`` (a solution over one denominator).
 Integer and F_ell matrices are lists of lists of ints.  No floating point
 decides a result: ``iroot`` only seeds its exact iteration with a float
 estimate.
@@ -161,6 +164,17 @@ def rref(rows, ell: int | None = None) -> tuple[list[list], list[int]]:
     return out, pivots
 
 
+def span_basis(rows) -> list[list[int]]:
+    """Canonical integer basis of the row span over Q: the primitive rows of
+    ``_echelon``, each with its pivot made positive.
+
+    Row i is the rref row i times a positive integer, and the only such
+    multiple that is primitive, so equal spans give identical output, as
+    with ``rref``, but no Fraction is built."""
+    m, pivots = _echelon(rows)
+    return [row if row[c] > 0 else [-x for x in row] for row, c in zip(m, pivots)]
+
+
 def rank(rows, ell: int | None = None) -> int:
     return len(_echelon(rows, ell)[1])
 
@@ -232,12 +246,10 @@ def _kernel(base, pivots, ncols: int):
         yield v, den
 
 
-def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:
-    """Basis of span(a) ∩ span(b), by the kernel of the stacked coefficient map.
-
-    The vectors are scaled to integers first, which changes neither span; the
-    kernel and the intersection vectors are computed in integers, and only
-    the canonical (rref) basis of the result is built in Fractions."""
+def _intersection(a_basis, b_basis) -> list[list[int]]:
+    """Integer vectors spanning span(a) ∩ span(b), by the kernel of the
+    stacked coefficient map.  The vectors are scaled to integers first,
+    which changes neither span."""
     a = [_integral(r) for r in a_basis]
     b = [_integral(r) for r in b_basis]
     if not a or not b:
@@ -253,7 +265,18 @@ def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:
         vec = [sum(map(mul, ker, col)) for col in cols]
         if any(vec):
             out.append(vec)
-    return rref(out)[0]
+    return out
+
+
+def span_intersect(a_basis, b_basis) -> list[list[Fraction]]:
+    """The canonical (rref) basis of span(a) ∩ span(b); only the result is
+    built in Fractions."""
+    return rref(_intersection(a_basis, b_basis))[0]
+
+
+def int_span_intersect(a_basis, b_basis) -> list[list[int]]:
+    """The canonical integer basis (``span_basis``) of span(a) ∩ span(b)."""
+    return span_basis(_intersection(a_basis, b_basis))
 
 
 def nullspace(rows) -> list[list[Fraction]]:
@@ -264,14 +287,15 @@ def nullspace(rows) -> list[list[Fraction]]:
     return [[Fraction(x, den) for x in v] for v, den in _kernel(base, pivots, len(rows[0]))]
 
 
-def solve(rows, rhs):
-    """One exact solution of rows @ x = rhs, or None if inconsistent.
+def int_solve(rows, rhs) -> tuple[list[int], int] | None:
+    """One exact solution of rows @ x = rhs as (X, den) with x = X / den and
+    den > 0, or None if inconsistent.
 
     Free variables are set to zero, which makes the answer deterministic
     under the natural (lexicographic) column order.  The augmented rows are
-    eliminated in integers; the solution is X / den over one common
-    denominator, checked against every input row as rows @ X == rhs * den
-    (cheap, and guards against misuse with dependent rows).
+    eliminated in integers; den is the lcm of the pivots, and the solution
+    is checked against every input row as rows @ X == rhs * den (cheap, and
+    guards against misuse with dependent rows).
     """
     if not rows:
         return None
@@ -287,6 +311,15 @@ def solve(rows, rhs):
     for row in aug:
         if sum(map(mul, row, x)) != row[ncols] * den:
             return None
+    return x, den
+
+
+def solve(rows, rhs):
+    """``int_solve``'s solution in Fractions, or None if inconsistent."""
+    sol = int_solve(rows, rhs)
+    if sol is None:
+        return None
+    x, den = sol
     return [Fraction(v, den) for v in x]
 
 

@@ -406,6 +406,38 @@ def rref_by_fractions(rows, ell: int | None = None) -> tuple[list[list], list[in
     return m[:r], pivots
 
 
+def primitive_rows(rows) -> list[list[int]]:
+    """Each nonzero rational row times the positive factor that makes it a
+    primitive integer row: for rref rows, the canonical integer basis that
+    ``linalg.span_basis`` returns."""
+    out = []
+    for row in rows:
+        row = list(map(Fraction, row))
+        den = lcm(*(x.denominator for x in row))
+        ints = [int(x * den) for x in row]
+        g = gcd(*ints)
+        out.append([x // g for x in ints])
+    return out
+
+
+def standard_representation_images_by_fractions(alg: SplitSemisimpleAlgebra):
+    """The images of ``standard_representation(alg)`` built in Fractions:
+    the matrix unit (i, j) of block b acts as the space's matrix unit
+    (o + i, o + j), o the offset of block b."""
+    s = sum(alg.blocks)
+    offsets = []
+    off = 0
+    for n in alg.blocks:
+        offsets.append(off)
+        off += n
+    images = []
+    for bi, i, j in alg.basis_indices():
+        rows = [[Fraction(0)] * s for _ in range(s)]
+        rows[offsets[bi] + i][offsets[bi] + j] = Fraction(1)
+        images.append(tuple(tuple(r) for r in rows))
+    return tuple(images)
+
+
 def check_matrix_units_all_pairs(alg: SplitSemisimpleAlgebra, images, mul, zero, what: str):
     """Raise unless the images of the basis matrix units multiply like them.
 

@@ -13,9 +13,11 @@ from oracles import (
     blocks_sub,
     embedding_apply_by_fractions,
     embedding_error_by_reference,
+    primitive_rows,
     representation_apply_by_fractions,
     representation_error_by_reference,
     rref_by_fractions,
+    standard_representation_images_by_fractions,
     zeros,
 )
 from torsionlab import linalg
@@ -24,6 +26,7 @@ from torsionlab.algebras import (
     AlgebraEmbedding,
     Representation,
     SplitSemisimpleAlgebra,
+    _span_elements,
     column_space,
     diagonal_embedding,
     ideal_membership_mod_pi,
@@ -65,6 +68,14 @@ def test_standard_representation_faithful_unital():
     assert rep.apply(A.one()) == tuple(
         tuple(Fraction(int(i == j)) for j in range(3)) for i in range(3)
     )
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (2, 1), (1, 3, 2), (3, 3)])
+def test_standard_representation_images_match_the_fraction_construction(blocks):
+    A = SplitSemisimpleAlgebra(blocks)
+    images = standard_representation(A).images
+    assert images == standard_representation_images_by_fractions(A)
+    assert all(type(x) is Fraction for m in images for row in m for x in row)
 
 
 def scalars(*xs):
@@ -300,6 +311,20 @@ def test_element_arithmetic_matches_the_fraction_reference(blocks, data):
     assert x.den > 0 and gcd(x.den, *x.num) == 1
 
 
+@settings(max_examples=200)
+@given(_blocks, st.data())
+def test_span_elements_is_rref_in_positive_primitive_rows(blocks, data):
+    draw = data.draw
+    A = SplitSemisimpleAlgebra(tuple(blocks))
+    datas = [_element_data(draw, A) for _ in range(draw(st.integers(0, 4)))]
+    if datas and draw(st.booleans()):
+        datas.append(blocks_scale(draw(_entries), datas[0]))  # proportional or zero
+    coords = [[v for mat in d for row in mat for v in row] for d in datas]
+    span = _span_elements(A, [AlgebraElement(A, d) for d in datas])
+    assert span == primitive_rows(rref_by_fractions(coords)[0])
+    assert all(type(x) is int for row in span for x in row)
+
+
 @settings(max_examples=100)
 @given(_blocks, st.data())
 def test_embedding_and_representation_apply_match_the_fraction_reference(blocks, data):
@@ -367,14 +392,21 @@ def test_products_and_the_matrix_unit_checks_build_no_fraction():
     rep_images.append(tuple(mat_mul(mat_mul(P, m), P_inv) for m in rep_images[0]))
     x, y = images[1], images[2]
     assert x.den > 1 and y.den > 1  # dense rational images
+    w = E(M, 0, 0, 0)
     with _counting_fractions() as made:
-        AlgebraEmbedding(M, N, images)
+        emb = AlgebraEmbedding(M, N, images)
         for imgs in rep_images:
             Representation(N, 5, imgs)
         x * y
+        rep = standard_representation(N)
+        u = emb.apply(w)  # a dense rational idempotent
+        e = right_ideal_generator(N, [u * b for b in N.basis()])
+        lift = lift_idempotent(M, N, emb, rep, u, w)
         assert made == []
         x.coords()  # reading Fractions back builds them: one per nonzero entry, one zero
         assert len(made) == 1 + sum(1 for v in x.num if v)
+    assert u * e == e and e * u == u  # e*N = u*N
+    assert lift.is_idempotent()
 
 
 # --- right ideal generator -------------------------------------------------------

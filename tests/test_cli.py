@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -8,7 +9,7 @@ import jsonschema
 import pytest
 
 import torsionlab
-from torsionlab.cli import main
+from torsionlab.cli import build_parser, main
 
 
 #: the directory holding the imported package, put first on a child's PYTHONPATH
@@ -546,6 +547,66 @@ def test_output_byte_identical(capsys):
     code2, out2, _ = run_cli(["delta-bound", "--D", "2", "--Delta", "2", "--c", "1"], capsys)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("argv", [
+    ["jacobsthal", "abc"],
+    ["delta-bound", "--D", "2"],
+    ["no-such-command"],
+    ["--format", "xml", "jacobsthal", "3"],
+    [],
+    ["jacobsthal", "9" * 2_000_001],  # past the digit limit that main sets
+], ids=["bad-int", "missing-option", "unknown-command", "bad-format", "empty", "too-many-digits"])
+def test_argument_errors_are_one_validation_line(capsys, argv):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: validation:")
+    assert len(err) < 400  # the offending argument is quoted in part
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "idempotent-lift" in capsys.readouterr().out
+
+
+def _benchmark_cli_argvs(seed: int) -> list[list[str]]:
+    """The argvs of the cli requests that perfbench/gen.py draws at ``seed``."""
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
+    import gen
+
+    from torsionlab import bounds
+
+    def final_delta(D, Delta, c):
+        return bounds.final_delta(bounds.BoundParams(D=D, Delta=Delta, c=c))
+
+    return [r["argv"] for r in gen.thresholds(seed, final_delta) if r["kind"] == "cli"]
+
+
+def test_shared_parser_leaks_no_state(capsys):
+    argvs = _benchmark_cli_argvs(7) + _benchmark_cli_argvs(8)
+    random.Random(0).shuffle(argvs)
+    csv = next(a for a in argvs if a[:2] == ["--format", "csv"])
+    default = next(a for a in argvs if a[0] != "--format")
+    # a csv call just before a default-format one, usage errors just before a valid one
+    order = [csv, default, ["jacobsthal", "abc"], ["--format", "xml", "jacobsthal", "3"]] + argvs
+    build_parser.cache_clear()
+    got = []
+    for argv in order:
+        code = main(argv)
+        got.append((code, capsys.readouterr().out))
+    assert build_parser.cache_info().misses == 1
+    assert sum(code == 1 for code, _ in got) == 2
+    fresh = {}
+    for argv in map(tuple, order):
+        if argv not in fresh:
+            proc = subprocess.run([sys.executable, "-m", "torsionlab", *argv],
+                                  capture_output=True, text=True, env=child_env())
+            fresh[argv] = (proc.returncode, proc.stdout)
+    for argv, outcome in zip(order, got):
+        assert outcome == fresh[tuple(argv)], argv
 
 
 def test_csv_and_text_formats(capsys):

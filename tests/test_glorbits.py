@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from torsionlab.errors import CapExceededError, ValidationError
+from torsionlab import glorbits
+from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.glorbits import (
     MatrixGroup,
     Subspace,
@@ -178,6 +179,21 @@ def test_extremal_rejects_zero_density():
     G = generate_group([[[2, 0], [0, 1]]], 5, 2)
     with pytest.raises(ValidationError):
         extremal_subspace(G, (1, 1), V_of([(1, 0)], 5, 2))
+
+
+@pytest.mark.parametrize("gens, a", [
+    ([[[1, 0], [0, 1]]], (1, 0)),  # one orbit point
+    ([[[2, 0], [0, 2]]], (1, 0)),  # four orbit points on one line
+    ([[[2, 0], [0, 1]]], (0, 0)),  # the zero orbit
+])
+def test_extremal_postcondition_refuses_a_w_its_orbit_points_do_not_span(monkeypatch, gens, a):
+    # a lattice holding only the plane makes the plane the maximizer, though
+    # the orbit points in it span less
+    G = generate_group(gens, 5, 2)
+    V = full_space(5, 2)
+    monkeypatch.setattr(glorbits, "all_subspaces", lambda ell, dim: [V])
+    with pytest.raises(InternalCheckError, match="not generated by its orbit points"):
+        extremal_subspace(G, a, V)
 
 
 def test_extremal_optimality_inequality():

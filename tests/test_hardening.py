@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from oracles import (
     mat_mul as mat_mul_by_fractions,
     nullspace_by_fractions,
+    primitive_rows,
     rref_by_fractions,
     solve_by_fractions,
     span_intersect_by_fractions,
@@ -30,6 +31,7 @@ from torsionlab.integers import nth_prime
 from torsionlab.linalg import (
     ceil_root,
     ceil_root_fraction,
+    int_span_intersect,
     iroot,
     mat_mul,
     nullspace,
@@ -37,6 +39,7 @@ from torsionlab.linalg import (
     rref,
     smith_normal_form,
     solve,
+    span_basis,
     span_intersect,
     span_leq,
     span_points,
@@ -212,6 +215,9 @@ def test_rref_over_q_matches_the_fraction_reference(rows):
     base, pivots = rref(rows)
     assert (base, pivots) == rref_by_fractions(rows)
     assert all(type(x) is Fraction for r in base for x in r)
+    ints = span_basis(rows)
+    assert ints == primitive_rows(base)
+    assert all(type(x) is int for r in ints for x in r)
 
 
 @settings(max_examples=200)
@@ -287,6 +293,7 @@ def test_span_intersect_matches_the_fraction_reference(a, data):
     inter = span_intersect(a, b)
     assert inter == span_intersect_by_fractions(a, b)
     assert all(type(x) is Fraction for r in inter for x in r)
+    assert int_span_intersect(a, b) == primitive_rows(inter)
 
 
 @settings(max_examples=200)
