@@ -13,9 +13,10 @@ the basis of matrix units (block by block, each block row-major), held as
 (gcd(den, *num) = 1), so equal elements have equal forms.  Sums and block
 products are integer vector operations over one denominator; the per-block
 Fraction matrices (``data``) and the coordinates (``coords``) are built only
-when a caller reads them.  A representation keeps each image as an integer
-matrix over its denominator, and spans enter elimination as integer rows,
-since a positive scale changes no span.  Internal spans are held as
+when a caller reads them.  A representation on Q^s is held as the algebra's
+embedding into the one-block algebra M_s(Q), so both maps are checked and
+applied by the same code.  Spans enter elimination as integer rows, since a
+positive scale changes no span.  Internal spans are held as
 canonical integer bases (``linalg.span_basis``), and internal solves return
 integer solutions over one denominator, so the lifts build no Fraction.
 """
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 
 from .errors import InternalCheckError, ValidationError
 from . import linalg
-from .linalg import (Matrix, frac_rows, int_span_intersect, over_one_den, rref, span_basis,
-                     span_leq)
+from .linalg import Matrix, int_span_intersect, over_one_den, span_basis, span_leq
 
 #: the command line refuses algebras of larger dimension: the matrix-unit
 #: check multiplies 2*dim + k(k-1)/2 pairs of dense rational matrices (k
@@ -105,16 +106,13 @@ class SplitSemisimpleAlgebra:
         num, den = over_one_den(coords)
         return AlgebraElement._of(self, num, den)
 
-    def from_matrices(self, mats) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(frac_rows(m) for m in mats))
-
 
 class AlgebraElement:
     """An element of ``parent``, held as ``num / den`` (see the module docstring).
 
     ``AlgebraElement(parent, data)`` takes one square rational matrix per
     block and checks the shapes; ``data`` and ``coords()`` read the element
-    back in Fractions.
+    back in Fractions, built when read.
     """
 
     __slots__ = ("parent", "num", "den", "_data")
@@ -126,7 +124,7 @@ class AlgebraElement:
             if len(mat) != n or any(len(row) != n for row in mat):
                 raise ValidationError("block of wrong shape")
         num, den = over_one_den([x for mat in data for row in mat for x in row])
-        self.parent, self.num, self.den, self._data = parent, tuple(num), den, data
+        self.parent, self.num, self.den, self._data = parent, tuple(num), den, None
 
     @classmethod
     def _of(cls, parent: SplitSemisimpleAlgebra, num, den: int) -> "AlgebraElement":
@@ -181,7 +179,12 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         """Block by block: entry (i, j) of a block is the dot product of row i
-        of self's block with column j of other's, both slices of num."""
+        of self's block with column j of other's, both slices of num.  A row
+        of self with one nonzero entry x, at column j, gives x times row j
+        of other's block, and a zero row gives a zero row.  So a product
+        whose left factor has at most one nonzero entry per row, as the
+        images of matrix units and block units do in a basis adapted to the
+        blocks, costs n^2 products per block instead of n^3."""
         self._same(other)
         a, b = self.num, other.num
         out = []
@@ -193,7 +196,15 @@ class AlgebraElement:
             cols = [b[c:end:n] for c in range(pos, pos + n)]
             for k in range(pos, end, n):
                 row = a[k:k + n]
-                out.extend([sum(map(mul, row, col)) for col in cols])
+                nonzero = n - row.count(0)
+                if nonzero > 1:
+                    out.extend([sum(map(mul, row, col)) for col in cols])
+                elif nonzero:  # x at column j: x times row j of other's block
+                    x = next(filter(None, row))
+                    r = pos + row.index(x) * n
+                    out.extend([x * y for y in b[r:r + n]])
+                else:
+                    out.extend(row)
         return AlgebraElement._of(self.parent, out, self.den * other.den)
 
     def scale(self, c) -> "AlgebraElement":
@@ -238,25 +249,14 @@ def _coefficients(elems, target: AlgebraElement):
     return linalg.int_solve(list(zip(*cols)), [v * (den // target.den) for v in target.num])
 
 
-def _lowest(rows, den: int):
-    """The integer matrix form (rows, den) in lowest terms."""
-    g = gcd(den, *(x for row in rows for x in row))
-    if g == 1:
-        return rows, den
-    return tuple(tuple(x // g for x in row) for row in rows), den // g
+def _check_homomorphism(emb: "AlgebraEmbedding", unital: str, multiplicative: str,
+                       injective: str):
+    """Raise ValidationError with the message of the first property that fails
+    unless emb = phi preserves the unit, is multiplicative and is injective.
 
-
-def _form_mul(f, g):
-    """Product of two integer matrix forms (rows, den), in lowest terms."""
-    return _lowest(linalg.int_mat_mul(f[0], g[0]), f[1] * g[1])
-
-
-def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, what: str):
-    """Raise unless the images of the basis matrix units multiply like them;
-    return the images of the corner units e^b_11, one per block.
-
-    A presentation of the relations e_ij * e_kl = delta_jk * e_il is checked,
-    with 2*dim + k(k-1)/2 products for k blocks instead of dim^2.  Per block,
+    phi(1) = 1 is checked first.  For multiplicativity a presentation of the
+    relations e_ij * e_kl = delta_jk * e_il is checked, with
+    2*dim + k(k-1)/2 products for k blocks instead of dim^2.  Per block,
     with F_i = phi(e_i1), G_j = phi(e_1j) and P = phi(e_11) = F_1 = G_1:
 
     - F_i * G_j = phi(e_ij) for all i, j;
@@ -267,7 +267,7 @@ def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, w
     i = 1 in the first family gives F_i * P = F_i and P * G_l = G_l, so
     phi(e_ij) * phi(e_kl) = F_i (G_j F_k) G_l = delta_jk * F_i P G_l =
     delta_jk * phi(e_il).  In particular each z_m = sum_i phi(e^m_ii) is
-    idempotent, and both constructors check phi(1) = sum_m z_m = 1 first.
+    idempotent, and phi(1) = sum_m z_m = 1 is checked.
     Then z_b * z_a = 0 for a < b too, by induction downward on a: assume
     z_m * z_c = 0 whenever a < c < m.  Left-multiplying
     z_a = 1 * z_a = sum_c z_c * z_a by z_m for m > a gives
@@ -286,27 +286,28 @@ def _check_matrix_units(alg: SplitSemisimpleAlgebra, images, mul, apply, zero, w
     (a two-sided ideal), so phi(e^b_11) = 0; if phi(e^b_11) = 0, e^b_11 is
     itself a nonzero kernel element.
     """
-    corners = []
+    source, images, zero = emb.source, emb.images, emb.target.zero()
+    if emb.apply(source.one()) != emb.target.one():
+        raise ValidationError(unital)
     block_units = []
-    for b, (pos, n) in enumerate(alg._layout):
+    for b, (pos, n) in enumerate(source._layout):
         f = images[pos:pos + n * n:n]
         g = images[pos:pos + n]
-        corner = images[pos]
         for i, fi in enumerate(f):
             for j, gj in enumerate(g):
-                if mul(fi, gj) != images[pos + i * n + j]:
-                    raise ValidationError("%s is not multiplicative" % what)
+                if fi * gj != images[pos + i * n + j]:
+                    raise ValidationError(multiplicative)
         for j, gj in enumerate(g):
             for k, fk in enumerate(f):
-                if mul(gj, fk) != (corner if j == k else zero):
-                    raise ValidationError("%s is not multiplicative" % what)
-        corners.append(corner)
-        block_units.append(apply(alg.block_unit(b)))
+                if gj * fk != (images[pos] if j == k else zero):
+                    raise ValidationError(multiplicative)
+        block_units.append(emb.apply(source.block_unit(b)))
     for a, za in enumerate(block_units):
         for zb in block_units[a + 1:]:
-            if mul(za, zb) != zero:
-                raise ValidationError("%s is not multiplicative" % what)
-    return corners
+            if za * zb != zero:
+                raise ValidationError(multiplicative)
+    if any(images[pos].is_zero() for pos, _ in source._layout):
+        raise ValidationError(injective)
 
 
 @dataclass(frozen=True)
@@ -323,26 +324,31 @@ class AlgebraEmbedding:
         for img in self.images:
             if img.parent != self.target:
                 raise ValidationError("embedding images live in the wrong algebra")
-        # the images' integer vectors over one common denominator, for apply
+        _check_homomorphism(self, "embedding does not preserve the unit",
+                            "embedding is not multiplicative", "embedding is not injective")
+
+    @classmethod
+    def _of(cls, source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra, images):
+        """The map with the given images in target, for a caller that checks it."""
+        self = object.__new__(cls)
+        self.__dict__.update(source=source, target=target, images=images)
+        return self
+
+    @cached_property
+    def _over_one_den(self):
+        """(nums, den): the images' integer vectors over one common denominator."""
         den = lcm(*(img.den for img in self.images))
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_nums", tuple(
-            tuple(x * (den // img.den) for x in img.num) for img in self.images))
-        if self.apply(self.source.one()) != self.target.one():
-            raise ValidationError("embedding does not preserve the unit")
-        corners = _check_matrix_units(self.source, self.images, AlgebraElement.__mul__,
-                                      self.apply, self.target.zero(), "embedding")
-        if any(corner.is_zero() for corner in corners):
-            raise ValidationError("embedding is not injective")
+        return tuple(tuple(x * (den // img.den) for x in img.num) for img in self.images), den
 
     def apply(self, elem: AlgebraElement) -> AlgebraElement:
         if elem.parent != self.source:
             raise ValidationError("element not in the embedding source")
+        nums, den = self._over_one_den
         acc = [0] * self.target.dim
-        for c, img in zip(elem.num, self._nums):
+        for c, img in zip(elem.num, nums):
             if c:
                 acc = [s + c * y for s, y in zip(acc, img)]
-        return AlgebraElement._of(self.target, acc, elem.den * self._den)
+        return AlgebraElement._of(self.target, acc, elem.den * den)
 
     def preimage(self, elem: AlgebraElement) -> AlgebraElement | None:
         sol = _coefficients(self.images, elem)
@@ -375,115 +381,65 @@ class Representation:
     """A faithful unital action of the algebra on Q^space_dim.
 
     ``Representation(algebra, space_dim, images)`` takes one rational space
-    matrix per algebra basis element.  Each image is held as an integer
-    matrix form (rows, den) in lowest terms; ``images`` reads the matrices
-    back in Fractions, built on first read for a representation made from
-    its forms (``standard_representation``).  Either way ``__post_init__``
-    checks the action in full.
+    matrix per algebra basis element.  Such an action is an injective
+    unit-preserving algebra map into M_space_dim(Q), and it is held as that
+    ``AlgebraEmbedding``; ``__post_init__`` checks it in full.  ``images``
+    and ``apply`` read its elements back in Fractions.
     """
 
-    __slots__ = ("algebra", "space_dim", "_images", "_forms", "_den", "_flat")
+    __slots__ = ("algebra", "space_dim", "_emb")
 
     def __init__(self, algebra: SplitSemisimpleAlgebra, space_dim: int, images):
         self.algebra, self.space_dim = algebra, space_dim
-        self._images, self._forms = images, None
-        self.__post_init__()
+        self.__post_init__(images)
 
     @classmethod
-    def _of_forms(cls, algebra: SplitSemisimpleAlgebra, space_dim: int, forms):
-        """The representation whose images have the given integer matrix
-        forms, each (rows, den) in lowest terms and of the right shape."""
+    def _of(cls, emb: AlgebraEmbedding) -> "Representation":
+        """The representation held as a checked embedding into M_s(Q)."""
         self = object.__new__(cls)
-        self.algebra, self.space_dim = algebra, space_dim
-        self._images, self._forms = None, tuple(forms)
-        self.__post_init__()
+        self.algebra, self.space_dim, self._emb = emb.source, emb.target.blocks[0], emb
         return self
 
-    def __post_init__(self):
-        """Check the images: their shapes, when given as matrices, then the
-        unit and the matrix-unit relations, and faithfulness."""
-        if self._forms is None:
-            if len(self._images) != self.algebra.dim:
-                raise ValidationError("representation needs one matrix per basis element")
-            for m in self._images:
-                if len(m) != self.space_dim or any(len(r) != self.space_dim for r in m):
-                    raise ValidationError("representation matrix of wrong shape")
-            self._forms = tuple(map(linalg.int_matrix, self._images))
-        forms = self._forms
-        # the forms flattened over one common denominator, for apply
-        den = lcm(*(d for _, d in forms))
-        self._den = den
-        self._flat = tuple(tuple(x * (den // d) for row in rows for x in row)
-                           for rows, d in forms)
+    def __post_init__(self, images):
+        """Check the images: their shapes, then the unit, the matrix-unit
+        relations and faithfulness."""
         s = self.space_dim
-        ident = tuple(tuple(int(i == j) for j in range(s)) for i in range(s))
-        if self._form(self.algebra.one()) != (ident, 1):
-            raise ValidationError("representation is not unital")
-        zero = (tuple((0,) * s for _ in range(s)), 1)
-        corners = _check_matrix_units(self.algebra, forms, _form_mul,
-                                      self._form, zero, "representation")
-        if any(corner == zero for corner in corners):
+        if len(images) != self.algebra.dim:
+            raise ValidationError("representation needs one matrix per basis element")
+        for m in images:
+            if len(m) != s or any(len(r) != s for r in m):
+                raise ValidationError("representation matrix of wrong shape")
+        if not s:  # M_0 is no algebra here: nothing acts faithfully on Q^0
             raise ValidationError("representation is not faithful")
+        target = SplitSemisimpleAlgebra((s,))
+        self._emb = AlgebraEmbedding._of(
+            self.algebra, target, tuple(AlgebraElement(target, (m,)) for m in images))
+        _check_homomorphism(self._emb, "representation is not unital",
+                            "representation is not multiplicative",
+                            "representation is not faithful")
 
     @property
     def images(self) -> tuple[Matrix, ...]:
         """One space matrix per algebra basis element, in Fractions."""
-        if self._images is None:
-            zero = Fraction(0)
-            self._images = tuple(
-                tuple(tuple(Fraction(x, den) if x else zero for x in row) for row in rows)
-                for rows, den in self._forms)
-        return self._images
-
-    def _form(self, elem: AlgebraElement):
-        """The action of elem as an integer matrix form (rows, den) in lowest terms."""
-        if elem.parent != self.algebra:
-            raise ValidationError("element not in the represented algebra")
-        s = self.space_dim
-        acc = [0] * (s * s)
-        for c, m in zip(elem.num, self._flat):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, m)]
-        rows = tuple(tuple(acc[k * s:k * s + s]) for k in range(s))
-        return _lowest(rows, elem.den * self._den)
+        return tuple(img.data[0] for img in self._emb.images)
 
     def apply(self, elem: AlgebraElement) -> Matrix:
-        rows, den = self._form(elem)
-        return tuple(tuple(Fraction(x, den) for x in row) for row in rows)
+        if elem.parent != self.algebra:
+            raise ValidationError("element not in the represented algebra")
+        return self._emb.apply(elem).data[0]
 
 
 def standard_representation(alg: SplitSemisimpleAlgebra) -> Representation:
-    """Column action on the direct sum of the block column spaces: the matrix
-    unit (i, j) of block b acts as the matrix unit (o + i, o + j) of the
-    space, o the offset of block b.  Its integer forms are built directly."""
-    s = sum(alg.blocks)
-    zero = (0,) * s
-    units = [zero[:c] + (1,) + zero[c + 1:] for c in range(s)]
-    forms = []
-    off = 0
-    for n in alg.blocks:
-        for i in range(n):
-            for j in range(n):
-                rows = [zero] * s
-                rows[off + i] = units[off + j]
-                forms.append((tuple(rows), 1))
-        off += n
-    return Representation._of_forms(alg, s, forms)
+    """Column action on the direct sum of the block column spaces: the
+    block-diagonal embedding of alg into M_s(Q), s the sum of the block sizes."""
+    target = SplitSemisimpleAlgebra((sum(alg.blocks),))
+    return Representation._of(diagonal_embedding(alg, target, [list(range(len(alg.blocks)))]))
 
 
-def column_space(mat: Matrix) -> list:
-    """Canonical basis (rref rows) of the column span of a space matrix."""
-    cols = list(zip(*mat)) if mat else []
-    base, _ = rref(cols)
-    return base
-
-
-def _colspan_sum(mats) -> list[list[int]]:
-    """Canonical integer basis of the sum of the column spaces."""
-    vecs = []
-    for m in mats:
-        vecs.extend(zip(*m))
-    return span_basis(vecs)
+def column_span(mats) -> list[list[int]]:
+    """Canonical integer basis (``linalg.span_basis``) of the sum of the
+    column spaces of the space matrices."""
+    return span_basis([col for m in mats for col in zip(*m)])
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +514,11 @@ def _check_idempotent(x: AlgebraElement, name: str):
 
 def _image_span(rep: Representation, elems) -> list[list[int]]:
     """Canonical integer basis of the sum of the column spaces of the elements'
-    actions; each action enters as its integer matrix, which is the action
-    times its positive denominator."""
-    return _colspan_sum([rep._form(x)[0] for x in elems])
+    actions.  An action is an element of M_s(Q) whose integer vector num is
+    the matrix, row-major, times a positive denominator: column j is num[j::s]."""
+    s = rep.space_dim
+    return span_basis([num[j::s] for num in (rep._emb.apply(x).num for x in elems)
+                       for j in range(s)])
 
 
 def lift_idempotent(

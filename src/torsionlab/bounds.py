@@ -23,17 +23,17 @@ in advisory report fields.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
-from .integers import FactoredInteger, factorize, jacobsthal, nth_prime
+from .integers import FactoredInteger, factorize, jacobsthal, nth_prime, prime_upper
 from .linalg import ceil_root, ceil_root_fraction, lcm
 
 #: nth_prime is evaluated exactly up to this index; past it, iterated bounds
-#: substitute the certified Rosser ceiling (always >= the true prime).
+#: substitute the certified Rosser ceiling ``integers.prime_upper`` (always >=
+#: the true prime).
 EXACT_PRIME_INDEX_CAP = 10 ** 6
 
 #: explicit set enumeration refuses to materialize more candidates than this
@@ -163,19 +163,6 @@ def f_bound(params: BoundParams) -> int:
     return params.D ** 2 * capital_n(params) ** (2 * params.c * params.Delta)
 
 
-def _prime_upper(x: int) -> int:
-    """Certified integer >= the x-th prime, for x too large to sieve.
-
-    Uses ceil(x * L) with L a float upper bound on ln(x)(1 + ln ln x); the
-    float is padded before the exact Fraction multiply so rounding can only
-    push the bound up.
-    """
-    lx = math.log(x)
-    factor = lx * (1.0 + math.log(lx)) * (1.0 + 2.0 ** -40)
-    v = Fraction(factor) * x
-    return -((-v.numerator) // v.denominator)
-
-
 def iterated_f(params: BoundParams, i: int) -> int:
     """f_i(D): f_0 = D, f_{i+1} = f(f_i, d), with d held fixed.
 
@@ -206,7 +193,7 @@ def iterated_f(params: BoundParams, i: int) -> int:
             x = 2 * val + w + 1
         else:
             x = ceil_root(val, 4 * params.c) + val + w + 1
-        n = nth_prime(x) if x <= EXACT_PRIME_INDEX_CAP else _prime_upper(x)
+        n = nth_prime(x) if x <= EXACT_PRIME_INDEX_CAP else prime_upper(x)
         val = val ** 2 * (n ** params.c * g) ** e
     return val
 

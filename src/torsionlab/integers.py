@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -193,17 +194,19 @@ def nth_prime(x: int) -> int:
     return _PRIMES[x - 1]
 
 
-def rosser_upper(x: int) -> float:
-    """Upper bound x*ln(x)*(1 + ln(ln(x))) for the x-th prime, valid for x >= 4.
+def prime_upper(x: int) -> int:
+    """Certified integer >= the x-th prime, valid for x >= 4 (Rosser form).
 
-    The value is nudged up by one ulp so that float rounding can never drop
-    it below the true real number it approximates.
+    Returns ceil(x * L) with L a float upper bound on ln(x)(1 + ln ln x); the
+    float is padded before the exact Fraction multiply so rounding can only
+    push the bound up.
     """
     if not isinstance(x, int) or x < 4:
-        raise ValidationError("rosser_upper requires x >= 4, got %r" % (x,))
+        raise ValidationError("prime_upper requires x >= 4, got %r" % (x,))
     lx = math.log(x)
-    v = x * lx * (1.0 + math.log(lx))
-    return math.nextafter(v, math.inf)
+    factor = lx * (1.0 + math.log(lx)) * (1.0 + 2.0 ** -40)
+    v = Fraction(factor) * x
+    return -((-v.numerator) // v.denominator)
 
 
 # ---------------------------------------------------------------------------

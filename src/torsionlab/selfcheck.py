@@ -11,6 +11,7 @@ of factor sieves, addition closures instead of coefficient spans).
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .integers import (
     jacobsthal_bounds,
     minimal_coprime_shift,
     nth_prime,
-    rosser_upper,
+    prime_upper,
     squarefree_quotient,
 )
 from .linalg import nullspace, rank, rref, span_leq
@@ -148,7 +149,10 @@ def criterion_rosser(seed: int = 0) -> CheckResult:
         violations += 1
     for x in range(4, ROSSER_X_MAX + 1):
         checked += 1
-        if nth_prime(x) > rosser_upper(x):
+        # the library's exact ceiling and the float form x ln x (1 + ln ln x)
+        lx = math.log(x)
+        p = nth_prime(x)
+        if p > prime_upper(x) or p > x * lx * (1.0 + math.log(lx)):
             violations += 1
     return _result(3, "rosser-form prime bound", t0, violations, checked)
 
@@ -453,10 +457,10 @@ def criterion_idempotent_chains(seed: int = 0) -> CheckResult:
         chain_ok = (
             v.is_idempotent()
             and span_leq(
-                alg.column_space(rep.apply(wn)), alg.column_space(rep.apply(vn))
+                alg.column_span([rep.apply(wn)]), alg.column_span([rep.apply(vn)])
             )
             and span_leq(
-                alg.column_space(rep.apply(vn)), alg.column_space(rep.apply(u))
+                alg.column_span([rep.apply(vn)]), alg.column_span([rep.apply(u)])
             )
         )
         if not chain_ok:
@@ -483,9 +487,9 @@ def criterion_idempotent_chains(seed: int = 0) -> CheckResult:
             violations += 1
             continue
         vn = emb.apply(v)
-        lhs = alg._colspan_sum([rep.apply(emb.apply(w)), rep.apply(pi)])
-        mid = alg._colspan_sum([rep.apply(vn), rep.apply(pi)])
-        rhs = alg._colspan_sum([rep.apply(u), rep.apply(pi)])
+        lhs = alg.column_span([rep.apply(emb.apply(w)), rep.apply(pi)])
+        mid = alg.column_span([rep.apply(vn), rep.apply(pi)])
+        rhs = alg.column_span([rep.apply(u), rep.apply(pi)])
         if not (v.is_idempotent() and span_leq(lhs, mid) and span_leq(mid, rhs)):
             violations += 1
 

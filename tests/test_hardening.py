@@ -18,7 +18,6 @@ from oracles import (
     span_intersect_by_fractions,
     span_leq_by_fractions,
 )
-from torsionlab.bounds import _prime_upper
 from torsionlab.cosets import (
     ModelAmbient,
     TorsionCoset,
@@ -27,7 +26,7 @@ from torsionlab.cosets import (
     lang_orbit,
     special_closure,
 )
-from torsionlab.integers import nth_prime
+from torsionlab.integers import nth_prime, prime_upper
 from torsionlab.linalg import (
     ceil_root,
     ceil_root_fraction,
@@ -109,7 +108,7 @@ def test_ceil_root_fraction(num, den, k):
 
 def test_prime_upper_dominates_primes_in_sieve_range():
     for x in (4, 5, 10, 100, 1234, 10 ** 4):
-        assert _prime_upper(x) >= nth_prime(x)
+        assert prime_upper(x) >= nth_prime(x)
 
 
 # --- exact linear algebra ------------------------------------------------------

@@ -16,7 +16,7 @@ from torsionlab.integers import (
     jacobsthal_bounds,
     minimal_coprime_shift,
     nth_prime,
-    rosser_upper,
+    prime_upper,
     squarefree_quotient,
 )
 
@@ -113,21 +113,21 @@ def test_nth_prime_rejects_zero():
 
 
 def test_rosser_examples():
-    v4 = rosser_upper(4)
-    expected4 = 4 * math.log(4) * (1 + math.log(math.log(4)))
-    assert abs(v4 - expected4) < 1e-9
-    assert v4 >= nth_prime_by_sieve(4) == 7
-    v10 = rosser_upper(10)
-    expected10 = 10 * math.log(10) * (1 + math.log(math.log(10)))
-    assert abs(v10 - expected10) < 1e-9
-    assert v10 >= nth_prime_by_sieve(10) == 29
-    with pytest.raises(ValidationError):
-        rosser_upper(3)
+    # prime_upper is x ln x (1 + ln ln x), padded by 2^-40 and rounded up
+    assert prime_upper(4) == 8 >= nth_prime_by_sieve(4) == 7
+    assert prime_upper(10) == 43 >= nth_prime_by_sieve(10) == 29
+    for x in (4, 10, 997, 10 ** 6, 10 ** 30):
+        v = prime_upper(x)
+        form = x * math.log(x) * (1 + math.log(math.log(x)))
+        assert type(v) is int and form <= v <= form * (1 + 2 ** -39) + 1
+    for x in (3, 0, -5, 4.0):
+        with pytest.raises(ValidationError):
+            prime_upper(x)
 
 
 def test_rosser_dominates_primes_small():
     for x in range(4, 2000):
-        assert nth_prime(x) <= rosser_upper(x)
+        assert nth_prime(x) <= prime_upper(x)
 
 
 # --- Jacobsthal ------------------------------------------------------------
