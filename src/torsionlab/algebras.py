@@ -39,6 +39,13 @@ from .linalg import Matrix, int_span_intersect, over_one_den, span_basis, span_l
 #: pair (dim N <= 14) and benchmark pair (dim N <= 11) fits.
 ALGEBRA_DIM_CAP = 16
 
+#: the command line refuses a user representation on Q^s for larger s: each
+#: product of its check costs about s^3 big-integer products, while the input
+#: grows as s^2.  At the cap, sixteen 1x1 blocks (152 products) with images
+#: conjugated by a random unit-triangular integer matrix construct in about
+#: 0.4 CPU s on a 2-vCPU VM.  Benchmark representations have s <= 8.
+REPRESENTATION_DIM_CAP = 48
+
 
 @dataclass(frozen=True)
 class SplitSemisimpleAlgebra:

@@ -322,6 +322,12 @@ def _algebra_inputs(data, need_pi=False):
                 or not all(map(_is_matrix, rdata["images"]))):
             raise ValidationError("'representation' must hold a list of matrices "
                                   "'images' and 'space_dim', nothing else")
+        s = rdata["space_dim"]
+        if type(s) is int and s > alg.REPRESENTATION_DIM_CAP:
+            raise CapExceededError(
+                "representation on Q^%d exceeds cap %d" % (s, alg.REPRESENTATION_DIM_CAP),
+                required=s,
+            )
         images_r = tuple(map(_rat_matrix, rdata["images"]))
         rep = alg.Representation(N, _int_field(rdata, "space_dim"), images_r)
     else:

@@ -94,7 +94,10 @@ class Subspace:
         """Whether v lies in the subspace; coordinates are taken mod ell."""
         pts = self.points()
         v = tuple(v)
-        return v in pts or tuple(x % self.ell for x in v) in pts
+        if v in pts:
+            return True
+        r = tuple([x % self.ell for x in v])
+        return r != v and r in pts
 
     def leq(self, other: "Subspace") -> bool:
         return self.mask & ~other.mask == 0
@@ -146,6 +149,12 @@ class MatrixGroup:
     lookup.  The table holds order * ell^dim indices and is built only when
     that is at most ``GROUP_TABLE_CAP``; above it, images are computed as
     matrix-vector products.
+
+    ``_orbits`` (reduced a -> ``_Orbit``) and ``_stabilizers`` (W -> the
+    stabilizer's keep-mask over ``elements``, one byte each, and its order)
+    let every ``extremal_subspace`` and ``verify_bound`` call for one orbit
+    share its work.  Those two fill them on first use, ``orbit`` never does;
+    they hold at most one entry per point or lattice subspace.
     """
 
     ell: int
@@ -154,6 +163,12 @@ class MatrixGroup:
     elements: tuple[Mat, ...]
     links: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
     _images: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+    _orbits: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
+    _stabilizers: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     # (points, permutations) once built; () when over GROUP_TABLE_CAP
@@ -266,6 +281,46 @@ def epsilon(G: MatrixGroup, a, W: Subspace) -> Fraction:
     return Fraction(len(orb & W.points()), len(orb))
 
 
+class _Orbit:
+    """The work that every ``extremal_subspace`` and ``verify_bound`` call for
+    one orbit G*a shares, kept in ``G._orbits`` under the reduced a.
+
+    ``ranked[d]`` lists the subspaces W of dimension d with
+    n = #(G*a intersect W) > 0, sorted by (-n, basis); it is None until the
+    first ``extremal_subspace`` call.  ``spanned`` holds each W whose orbit points
+    were checked to span it, ``witnesses`` maps each reported W to its
+    checked (eps(W), witness g).
+    """
+
+    __slots__ = ("orbit", "mask", "ranked", "spanned", "witnesses")
+
+    def __init__(self, orb: frozenset, mask: int):
+        self.orbit = orb
+        self.mask = mask
+        self.ranked = None
+        self.spanned = set()
+        self.witnesses = {}
+
+
+def _orbit_memo(G: MatrixGroup, a) -> tuple[Vec, _Orbit]:
+    """(reduced a, the memo of G*a), built on first use."""
+    a = tuple(int(x) % G.ell for x in a)
+    memo = G._orbits.get(a)
+    if memo is None:
+        orb = orbit(G, a)
+        memo = G._orbits[a] = _Orbit(orb, _point_mask(orb, G.ell))
+    return a, memo
+
+
+def _rank_lattice(G: MatrixGroup, orb_mask: int) -> list[list[Subspace]]:
+    ranked = [[] for _ in range(G.dim + 1)]
+    for W in all_subspaces(G.ell, G.dim):
+        n = (orb_mask & W.mask).bit_count()
+        if n:
+            ranked[W.dim].append((-n, W.basis, W))
+    return [[W for *_, W in sorted(entries, key=itemgetter(0, 1))] for entries in ranked]
+
+
 def _density_key_cmp(n1: int, e1: int, n2: int, e2: int, den: int):
     """Compare (n1/den)^e1 vs (n2/den)^e2 exactly; returns -1/0/1."""
     lhs = n1 ** e1 * den ** e2
@@ -273,44 +328,53 @@ def _density_key_cmp(n1: int, e1: int, n2: int, e2: int, den: int):
     return (lhs > rhs) - (lhs < rhs)
 
 
-def extremal_subspace(G: MatrixGroup, a, V: Subspace, _orb=None) -> Subspace:
+def extremal_subspace(G: MatrixGroup, a, V: Subspace) -> Subspace:
     """The minimal-dimension maximizer W of eps(W)^(4^(dim W - dim V)) inside V.
 
     Comparisons clear the rational exponents by raising both sides to the
-    power 4^dim V, turning everything into integers.  Ties on (quantity,
-    dimension) break to the lexicographically least echelon basis.
+    power 4^dim V, turning everything into integers: W's key is
+    (n_W/den)^(4^dim W), n_W = #(G*a intersect W), den = #G*a.  Ties on
+    (quantity, dimension) break to the lexicographically least echelon basis.
+
+    The maximizer is read from the orbit's ranked lattice.  Within one
+    dimension d the exponent 4^d is fixed, so the key rises strictly with n_W,
+    and the best W <= V of dimension d is the first entry of ``ranked[d]``
+    (sorted by (-n_W, basis)) that lies in V.  Since the key comparison is
+    exact, the order it induces is total, so the maximizer over V is the best
+    of these at most dim V + 1 winners.  They are taken in increasing
+    dimension and a later one replaces the best only on a strictly larger
+    key; on an equal key the earlier one has the smaller dimension, which is
+    the tie-break above.
     """
-    orb = orbit(G, a) if _orb is None else _orb
-    den = len(orb)
-    orb_mask = _point_mask(orb, G.ell)
-    if not orb_mask & V.mask:
+    _, memo = _orbit_memo(G, a)
+    if not memo.mask & V.mask:
         raise ValidationError("orbit density in V is zero")
+    if memo.ranked is None:
+        memo.ranked = _rank_lattice(G, memo.mask)
+    den = len(memo.orbit)
+    outside = ~V.mask
     best = None
-    for W in all_subspaces(G.ell, G.dim):
-        n = (orb_mask & W.mask).bit_count()
-        if n == 0 or not W.leq(V):
-            continue
-        e = 4 ** W.dim  # cleared exponent: eps(W)^(4^dim W) after scaling
-        if best is None:
-            best = (W, n, e)
-            continue
-        cmp = _density_key_cmp(n, e, best[1], best[2], den)
-        if cmp > 0 or (
-            cmp == 0
-            and (W.dim, W.basis) < (best[0].dim, best[0].basis)
-        ):
-            best = (W, n, e)
+    for entries in memo.ranked[: V.dim + 1]:
+        for W in entries:
+            if not W.mask & outside:
+                n = (memo.mask & W.mask).bit_count()
+                e = 4 ** W.dim
+                if best is None or _density_key_cmp(n, e, best[1], best[2], den) > 0:
+                    best = (W, n, e)
+                break
     W = best[0]
-    # the orbit points in W span W iff they reach rank dim W, since each lies
-    # in W; a greedy pick of independent ones stops at dim W of them
-    picked = []
-    for p in orb & W.points():
-        if len(picked) == W.dim:
-            break
-        if rank(picked + [p], G.ell) > len(picked):
-            picked.append(p)
-    if len(picked) < W.dim:
-        raise InternalCheckError("extremal subspace not generated by its orbit points")
+    if W not in memo.spanned:
+        # the orbit points in W span W iff they reach rank dim W, since each
+        # lies in W; a greedy pick of independent ones stops at dim W of them
+        picked = []
+        for p in memo.orbit & W.points():
+            if len(picked) == W.dim:
+                break
+            if rank(picked + [p], G.ell) > len(picked):
+                picked.append(p)
+        if len(picked) < W.dim:
+            raise InternalCheckError("extremal subspace not generated by its orbit points")
+        memo.spanned.add(W)
     return W
 
 
@@ -346,51 +410,64 @@ class OrbitDensityReport:
 
 def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
     """Full report: extremal W, stabilizer index, the 3*C^(4^dim V) bound,
-    and a witness g with Stab_G(W)*g*a inside W."""
-    orb = orbit(G, a)
-    a = tuple(int(x) % G.ell for x in a)
-    eps_v = Fraction(len(orb & V.points()), len(orb))
+    and a witness g with Stab_G(W)*g*a inside W.
+
+    V and C are checked in integers.  W's stabilizer is computed once per
+    group, its witness and eps(W) once per orbit (see ``MatrixGroup``).
+    """
+    a, memo = _orbit_memo(G, a)
+    den = len(memo.orbit)
+    n_v = (memo.mask & V.mask).bit_count()
     if C is None:
-        if eps_v == 0:
+        if n_v == 0:
             raise ValidationError("orbit misses V; supply C explicitly or enlarge V")
-        C = 1 / eps_v
-    C = Fraction(C)
-    if C < 1:
+        C = Fraction(den, n_v)
+    else:
+        C = Fraction(C)
+    if C.numerator < C.denominator:
         raise ValidationError("C must be at least 1")
-    if eps_v < 1 / C:
+    if n_v * C.numerator < C.denominator * den:
         raise ValidationError(
-            "density precondition fails: eps(V) = %s < 1/C = %s" % (eps_v, 1 / C)
+            "density precondition fails: eps(V) = %s < 1/C = %s" % (Fraction(n_v, den), 1 / C)
         )
-    W = extremal_subspace(G, a, V, _orb=orb)
-    eps_w = Fraction(len(orb & W.points()), len(orb))
-    keep: list[bool] = []
-    stab = stabilizer(G, W, keep)
-    index = len(G.elements) // len(stab)
+    W = extremal_subspace(G, a, V)
+    stab = G._stabilizers.get(W)
+    if stab is None:
+        keep: list[bool] = []
+        stab_order = len(stabilizer(G, W, keep))
+        stab = G._stabilizers[W] = (bytes(keep), stab_order)
+    keep, stab_order = stab
+    index = G.order // stab_order
     bound = 3 * C ** (4 ** V.dim)
-    ok = Fraction(index) <= bound
+    ok = index * bound.denominator <= bound.numerator
     if not ok:
         raise InternalCheckError(
             "stabilizer index %d violates the bound %s" % (index, bound)
         )
-    in_w = W.points()
-    witness, ga = next(
-        ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
-    )
-    if witness is None:
-        raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
-    # the witness orbit H*g*a stays inside W because H stabilizes W; checked
-    if not all(map(in_w.__contains__, itertools.compress(G.images(ga), keep))):
-        raise InternalCheckError("stabilizer orbit escaped W")
+    facts = memo.witnesses.get(W)
+    if facts is None:
+        in_w = W.points()
+        witness, ga = next(
+            ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
+        )
+        if witness is None:
+            raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
+        # the witness orbit H*g*a stays inside W because H stabilizes W; checked
+        if not all(map(in_w.__contains__, itertools.compress(G.images(ga), keep))):
+            raise InternalCheckError("stabilizer orbit escaped W")
+        eps_w = Fraction((memo.mask & W.mask).bit_count(), den)
+        facts = memo.witnesses[W] = (eps_w, witness)
+    eps_w, witness = facts
     return OrbitDensityReport(
-        orbit=orb,
+        orbit=memo.orbit,
         V=V,
         C=C,
         W=W,
-        epsilon_V=eps_v,
+        epsilon_V=Fraction(n_v, den),
         epsilon_W=eps_w,
         stab_index=index,
         bound=bound,
         bound_ok=ok,
         witness_g=witness,
-        stabilizer_order=len(stab),
+        stabilizer_order=stab_order,
     )

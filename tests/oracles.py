@@ -3,8 +3,8 @@
 These deliberately recompute everything from definitions with different
 algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
-meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's and
-the group closure's references are the library's earlier, direct algorithms
+meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's,
+the group closure's and the orbit-density report's references are the library's earlier, direct algorithms
 instead, and so are the Fraction references of the rational kernels and of
 algebra element arithmetic.
 """
@@ -26,8 +26,16 @@ from torsionlab.bounds import (
     exponent_constants,
 )
 from torsionlab.algebras import SplitSemisimpleAlgebra
-from torsionlab.errors import CapExceededError, ValidationError
-from torsionlab.glorbits import GROUP_SIZE_CAP
+from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
+from torsionlab.glorbits import (
+    GROUP_SIZE_CAP,
+    OrbitDensityReport,
+    _density_key_cmp,
+    _point_mask,
+    all_subspaces,
+    orbit,
+    stabilizer,
+)
 from torsionlab.integers import factorize, nth_prime
 from torsionlab.linalg import ceil_root_fraction, lcm, rank
 
@@ -552,3 +560,79 @@ def group_elements_by_products(gens, ell: int, dim: int, cap: int = GROUP_SIZE_C
                         )
         frontier = nxt
     return tuple(order)
+
+
+# --- orbit densities: the per-V lattice scan ----------------------------------------
+#
+# The report as it was first written: every call rebuilds the orbit mask, scans
+# the whole lattice for the extremal W and recomputes W's stabilizer, witness
+# and postconditions.  ``glorbits.extremal_subspace`` and ``verify_bound``
+# must return equal results and raise the same errors in the same order.
+
+
+def extremal_subspace_by_scan(G, a, V):
+    orb = orbit(G, a)
+    den = len(orb)
+    orb_mask = _point_mask(orb, G.ell)
+    if not orb_mask & V.mask:
+        raise ValidationError("orbit density in V is zero")
+    best = None
+    for W in all_subspaces(G.ell, G.dim):
+        n = (orb_mask & W.mask).bit_count()
+        if n == 0 or not W.leq(V):
+            continue
+        e = 4 ** W.dim
+        if best is None:
+            best = (W, n, e)
+            continue
+        cmp = _density_key_cmp(n, e, best[1], best[2], den)
+        if cmp > 0 or (cmp == 0 and (W.dim, W.basis) < (best[0].dim, best[0].basis)):
+            best = (W, n, e)
+    W = best[0]
+    picked = []
+    for p in orb & W.points():
+        if len(picked) == W.dim:
+            break
+        if rank(picked + [p], G.ell) > len(picked):
+            picked.append(p)
+    if len(picked) < W.dim:
+        raise InternalCheckError("extremal subspace not generated by its orbit points")
+    return W
+
+
+def verify_bound_by_scan(G, a, V, C=None):
+    orb = orbit(G, a)
+    a = tuple(int(x) % G.ell for x in a)
+    eps_v = Fraction(len(orb & V.points()), len(orb))
+    if C is None:
+        if eps_v == 0:
+            raise ValidationError("orbit misses V; supply C explicitly or enlarge V")
+        C = 1 / eps_v
+    C = Fraction(C)
+    if C < 1:
+        raise ValidationError("C must be at least 1")
+    if eps_v < 1 / C:
+        raise ValidationError(
+            "density precondition fails: eps(V) = %s < 1/C = %s" % (eps_v, 1 / C)
+        )
+    W = extremal_subspace_by_scan(G, a, V)
+    eps_w = Fraction(len(orb & W.points()), len(orb))
+    keep = []
+    stab = stabilizer(G, W, keep)
+    index = len(G.elements) // len(stab)
+    bound = 3 * C ** (4 ** V.dim)
+    ok = Fraction(index) <= bound
+    if not ok:
+        raise InternalCheckError("stabilizer index %d violates the bound %s" % (index, bound))
+    in_w = W.points()
+    witness, ga = next(
+        ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
+    )
+    if witness is None:
+        raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
+    if not all(map(in_w.__contains__, [p for p, k in zip(G.images(ga), keep) if k])):
+        raise InternalCheckError("stabilizer orbit escaped W")
+    return OrbitDensityReport(
+        orbit=orb, V=V, C=C, W=W, epsilon_V=eps_v, epsilon_W=eps_w, stab_index=index,
+        bound=bound, bound_ok=ok, witness_g=witness, stabilizer_order=len(stab),
+    )

@@ -474,6 +474,61 @@ def test_many_small_blocks_under_the_cap_answer_fast(tmp_path):
     assert doc["idempotent"] is True
 
 
+def _dense_representation_input(s):
+    """idempotent-lift input for sixteen 1x1 blocks acting on Q^s, the images
+    conjugated by a random unit-triangular integer matrix P: the most
+    products any algebra under the cap makes its check, on dense images."""
+    rng = random.Random(3)
+    P = [[int(i == j) if j <= i else rng.randint(-3, 3) for j in range(s)] for i in range(s)]
+    P_inv = [[int(i == j) for j in range(s)] for i in range(s)]
+    for i in range(s - 1, -1, -1):
+        for j in range(i + 1, s):
+            P_inv[i] = [x - P[i][j] * y for x, y in zip(P_inv[i], P_inv[j])]
+    cuts = [k * s // 16 for k in range(17)]
+    images = []
+    for k in range(16):
+        # P e_k P^-1 for the projection e_k onto coordinates cuts[k]..cuts[k+1]
+        m = [[0] * s for _ in range(s)]
+        for i in range(cuts[k], cuts[k + 1]):
+            for r in range(s):
+                if P[r][i]:
+                    m[r] = [x + P[r][i] * y for x, y in zip(m[r], P_inv[i])]
+        images.append(m)
+    blocks = [1] * 16
+    return {"M": blocks, "N": blocks,
+            "embedding": [_unit(blocks, bi, 0, 0) for bi in range(16)],
+            "u": _unit(blocks, 0, 0, 0), "w": _unit(blocks, 0, 0, 0),
+            "representation": {"images": images, "space_dim": s}}
+
+
+def test_representation_at_the_cap_answers_fast(tmp_path):
+    from torsionlab.algebras import REPRESENTATION_DIM_CAP
+
+    path = tmp_path / "dense.json"
+    path.write_text(json.dumps(_dense_representation_input(REPRESENTATION_DIM_CAP)))
+    proc = _limited_child(["idempotent-lift", "--input", str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert validate(proc.stdout)["idempotent"] is True
+
+
+@pytest.mark.parametrize("excess", [1, 10 ** 30])
+def test_representation_beyond_the_cap_fails_before_its_images_are_parsed(tmp_path, excess):
+    from torsionlab.algebras import REPRESENTATION_DIM_CAP
+
+    space_dim = REPRESENTATION_DIM_CAP + excess
+    doc = _dense_representation_input(16)
+    # an unparsable entry: the refusal comes first
+    doc["representation"] = {"images": [[["x"]]] * 16, "space_dim": space_dim}
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    proc = _limited_child(["idempotent-lift", "--input", str(path)])
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: representation on Q^%d exceeds cap %d (required %d)"
+        % (space_dim, REPRESENTATION_DIM_CAP, space_dim)
+    ]
+
+
 def test_gl_verify_huge_dim_refused_without_the_power(tmp_path, capsys):
     path = tmp_path / "huge-dim.json"
     path.write_text(json.dumps({"ell": 3, "dim": 10 ** 12, "generators": [],

@@ -125,8 +125,10 @@ def test_subspace_contains_matches_elimination():
         return all(x % W.ell == 0 for x in w)
 
     for ell, dim in [(2, 3), (3, 2), (5, 2)]:
+        # negative, unreduced and far-off coordinates, on either side of 0
+        coords = list(range(-ell - 2, 2 * ell + 2)) + [-(10 ** 9) * ell - 1, 10 ** 9 * ell + ell - 1]
         for W in all_subspaces(ell, dim):
-            for v in itertools.product(range(-1, ell + 1), repeat=dim):
+            for v in itertools.product(coords, repeat=dim):
                 assert W.contains(v) == W.contains(list(v)) == by_elimination(W, v)
             assert W.points() == frozenset(
                 p for p in itertools.product(range(ell), repeat=dim) if by_elimination(W, p)
@@ -473,3 +475,119 @@ def test_table_and_product_paths_agree(monkeypatch):
     fresh = [(generate_group(G.generators, G.ell, G.dim), a) for G, a in instances]
     assert [_reports(G, a) for G, a in fresh] == with_table
     assert not any(G._table for G, _ in fresh)
+
+
+# --- the per-orbit memo against the per-V lattice scan --------------------------------
+
+
+def _equivalence_groups():
+    """Generators of two random groups for every (ell, dim) of the benchmark's
+    GL shapes, then of the benchmark's two mid-sized groups (orders 480, 432)."""
+    import random
+
+    from torsionlab.selfcheck import _random_gl_generators
+
+    mid = {r["ell"]: r["gens"] for r in _mid_group_requests()}  # puts gen on sys.path
+    import gen
+
+    rng = random.Random(13)
+    out = []
+    for ell, dim in gen.GL_SHAPES:
+        while sum(1 for _, e, d in out if (e, d) == (ell, dim)) < 2:
+            gens = _random_gl_generators(rng, ell, dim, rng.randrange(1, 3))
+            if not isinstance(_closure_outcome(gens, ell, dim, 200), int):
+                out.append((gens, ell, dim))
+    return out + [(mid[5], 5, 3), (mid[3], 3, 3)]
+
+
+def _outcome(f, *args):
+    """f's result, with the type and value of every report field, or its error."""
+    try:
+        res = f(*args)
+    except (ValidationError, InternalCheckError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(res, glorbits.OrbitDensityReport):
+        return {name: (type(x), x) for name, x in vars(res).items()}
+    return res
+
+
+def test_orbit_memo_matches_the_per_v_scan():
+    from oracles import extremal_subspace_by_scan, verify_bound_by_scan
+
+    pairs = 0
+    for gens, ell, dim in _equivalence_groups():
+        ref = generate_group(gens, ell, dim)
+        lattice = all_subspaces(ell, dim)
+        # extremal_subspace alone, then verify_bound, on one group; verify_bound
+        # alone with V in reverse order on a second; explicit C, for the first
+        # a of each orbit, on a third
+        alone, backwards, explicit = (generate_group(gens, ell, dim) for _ in range(3))
+        orbits = set()
+        for a in itertools.product(range(ell), repeat=dim):
+            orb = orbit(ref, a)
+            meets = [V for V in lattice if orb & V.points()]
+            misses = [V for V in lattice if not orb & V.points()]
+            expected = {V: _outcome(verify_bound_by_scan, ref, a, V) for V in lattice}
+            for V in meets:
+                assert extremal_subspace(alone, a, V) == expected[V]["W"][1], (gens, a, V)
+            for V in misses:
+                assert _outcome(extremal_subspace, alone, a, V) == \
+                    _outcome(extremal_subspace_by_scan, ref, a, V) == \
+                    ("ValidationError", "orbit density in V is zero")
+            for V in meets:
+                assert _outcome(verify_bound, alone, a, V) == expected[V], (gens, a, V)
+            pairs += len(meets)
+            for V in reversed(lattice):
+                assert _outcome(verify_bound, backwards, a, V) == expected[V], (gens, a, V)
+            if orb in orbits:
+                continue
+            orbits.add(orb)
+            for V in meets + misses[:1]:
+                eps = epsilon(ref, a, V)
+                # 1/eps(V) and more pass; 1/2 and 0 are below 1; 1 and 7/3 fail
+                # the density precondition whenever eps(V) is small enough
+                Cs = [Fraction(1, 2), 0, 1, Fraction(7, 3)] + ([1 / eps, 1 / eps + 1] if eps else [])
+                for C in Cs:
+                    assert _outcome(verify_bound, explicit, a, V, C) == \
+                        _outcome(verify_bound_by_scan, ref, a, V, C), (gens, a, V, C)
+    assert pairs > 5000
+
+
+def test_one_orbit_ranks_once_and_computes_each_stabilizer_once(monkeypatch):
+    # over one orbit's V loop the lattice is ranked once, _density_key_cmp
+    # decides only among the per-dimension winners, and each distinct W's
+    # stabilizer is computed once, also when the loop runs again
+    counts = {"cmp": 0, "lattice": 0}
+    stabilized = []
+    real_cmp, real_stab, real_lattice = (
+        glorbits._density_key_cmp, glorbits.stabilizer, glorbits.all_subspaces)
+
+    def cmp(*args):
+        counts["cmp"] += 1
+        return real_cmp(*args)
+
+    def stab(G, W, *rest):
+        stabilized.append(W)
+        return real_stab(G, W, *rest)
+
+    def lattice(*args):
+        counts["lattice"] += 1
+        return real_lattice(*args)
+
+    monkeypatch.setattr(glorbits, "_density_key_cmp", cmp)
+    monkeypatch.setattr(glorbits, "stabilizer", stab)
+    monkeypatch.setattr(glorbits, "all_subspaces", lattice)
+    for r in _mid_group_requests()[:2] + [{"gens": [[[0, 1, 0], [0, 0, 1], [1, 0, 0]]],
+                                           "ell": 2, "a": [1, 0, 0]}]:
+        G = generate_group(r["gens"], r["ell"], 3)
+        a = tuple(r["a"])
+        Vs = [V for V in real_lattice(G.ell, 3) if orbit(G, a) & V.points()]
+        counts.update(cmp=0, lattice=0)
+        stabilized.clear()
+        Ws = {verify_bound(G, a, V).W for V in Vs}
+        assert 0 < counts["cmp"] <= sum(V.dim for V in Vs)
+        assert counts["lattice"] == 1
+        assert sorted(W.basis for W in stabilized) == sorted(W.basis for W in Ws)
+        for V in reversed(Vs):
+            verify_bound(G, a, V)
+        assert counts["lattice"] == 1 and len(stabilized) == len(Ws)
