@@ -221,10 +221,7 @@ def _cmd_special_closure(args, caps):
     comps = cst.special_closure(amb, pts, args.c, cap=caps["ambient"])
     total = set()
     for comp in comps:
-        sub = comp.subgroup.elements(caps["ambient"])
-        for o in cst.lang_orbit(amb, comp.point, args.c, cap=caps["ambient"]):
-            for b in sub:
-                total.add(amb.add(o, b))
+        total |= cst.block_points(amb, comp.point, comp.subgroup, args.c, caps["ambient"])
     return {
         "N": args.N,
         "g": args.g,

@@ -357,7 +357,7 @@ def summands_within(ambient: ModelAmbient, allowed, cap: int = AMBIENT_ORDER_CAP
 # closure and the witness search
 
 
-def _block_points(
+def block_points(
     ambient: ModelAmbient, alpha: Vector, B: ModelSubvariety, c: int, cap: int
 ) -> frozenset[Vector]:
     """Point set of the homothety-stable union over the orbit of alpha."""
@@ -417,7 +417,7 @@ def special_closure(
             seen_reps.add(rep)
             if any(ambient.add(alpha, b) not in target for b in sub):
                 continue
-            block = _block_points(ambient, alpha, B, c, cap)
+            block = block_points(ambient, alpha, B, c, cap)
             if block <= target:
                 prev = blocks.get(block)
                 cand = (rep, B)
@@ -497,17 +497,16 @@ def keyprop_witness(
     best = None
     shifted = {ambient.add(v, ambient.neg(a)) for v in V_set}
     for B in summands_within(ambient, shifted, cap):
-        block = _block_points(ambient, a, B, c, cap)
+        block = block_points(ambient, a, B, c, cap)
         if not block <= V_set:
             continue
         order = coset_order_raw(a, B)
         key = (order, -B.order, B.basis)
         if best is None or key < best[0]:
-            best = (key, B, block)
+            best = (key, B)
     if best is None:
         raise InternalCheckError("B = 0 is always a valid candidate")
-    _, B, block = best
-    order = coset_order_raw(a, B)
+    (order, _, _), B = best
     # a representative of ambient order exactly ord(a+B) always exists:
     # project a onto a complement of the summand B
     coset_pts = sorted(ambient.add(a, b) for b in B.elements(cap))

@@ -5,6 +5,11 @@ least a 1/C fraction of itself, then some subspace W of V generated by its
 orbit points has stabilizer index at most 3*C^(4^dim V).  The extremal W is
 found by exact maximization of eps(W)^(4^(dim W - dim V)) with cleared-power
 integer comparisons; no floating point is involved anywhere.
+
+Internally a point of F_ell^dim is its index in product order (see
+``_point_index``) and a point set is an int bitmask over those indices.
+Vectors are built only at the boundary: ``orbit``, ``Subspace.points`` and
+the fields of an ``OrbitDensityReport``.
 """
 
 from __future__ import annotations
@@ -37,21 +42,22 @@ def _mat_vec(a: Mat, v: Vec, ell: int) -> Vec:
     return tuple(sum(map(mul, row, v)) % ell for row in a)
 
 
-def _point_index(v: Vec, ell: int) -> int:
-    """Position of v (coordinates in [0, ell)) among the points of F_ell^dim
-    in product order, the order of ``itertools.product(range(ell), repeat=dim)``."""
+def _point_index(v, ell: int) -> int:
+    """Position of v, coordinates taken mod ell, among the points of
+    F_ell^dim in product order, the order of
+    ``itertools.product(range(ell), repeat=dim)``."""
     i = 0
     for x in v:
-        i = i * ell + x
+        i = i * ell + x % ell
     return i
 
 
-def _point_mask(points, ell: int) -> int:
-    """The bitmask over point indices with the bits of ``points`` set."""
-    mask = 0
-    for p in points:
-        mask |= 1 << _point_index(p, ell)
-    return mask
+def _point(i: int, ell: int, dim: int) -> Vec:
+    """The point of F_ell^dim with index i; inverse to ``_point_index``."""
+    v = [0] * dim
+    for k in range(dim - 1, -1, -1):
+        i, v[k] = divmod(i, ell)
+    return tuple(v)
 
 
 def _identity(n: int) -> Mat:
@@ -62,42 +68,32 @@ def _identity(n: int) -> Mat:
 class Subspace:
     """A subspace of F_ell^dim, canonicalized by its reduced echelon basis.
 
-    Membership is a lookup in the point set; inclusion and intersection
-    counts read ``mask``, the point set as a bitmask over point indices.
-    Both are built on first use and kept on the instance; every entry of the
-    cached ``all_subspaces`` lattice builds each at most once.
+    Its point set is ``mask``, a bitmask over point indices, built on first
+    use and kept on the instance: membership is one bit test, inclusion and
+    intersection counts are bit operations.  ``points()`` builds the vectors
+    afresh on each call.
     """
 
     ell: int
     ambient_dim: int
     basis: Mat  # reduced row echelon, possibly empty
-    _points: frozenset | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
     def points(self) -> frozenset[Vec]:
-        if self._points is None:
-            pts = span_points(self.basis, self.ell, self.ambient_dim)
-            object.__setattr__(self, "_points", pts)
-        return self._points
+        return span_points(self.basis, self.ell, self.ambient_dim)
 
     @cached_property
     def mask(self) -> int:
         """Bit i is set iff the i-th point of F_ell^dim in product order lies here."""
-        return _point_mask(self.points(), self.ell)
+        return sum(1 << _point_index(p, self.ell) for p in self.points())
 
     def contains(self, v: Vec) -> bool:
         """Whether v lies in the subspace; coordinates are taken mod ell."""
-        pts = self.points()
         v = tuple(v)
-        if v in pts:
-            return True
-        r = tuple([x % self.ell for x in v])
-        return r != v and r in pts
+        return len(v) == self.ambient_dim and self.mask >> _point_index(v, self.ell) & 1 == 1
 
     def leq(self, other: "Subspace") -> bool:
         return self.mask & ~other.mask == 0
@@ -139,22 +135,24 @@ class MatrixGroup:
     generator index) of the closure step that found it: elements[k] =
     elements[parent] * generators[gen].
 
-    ``images(v)`` memoises the tuple of g*v over ``elements``, in that order,
-    for every reduced vector v asked about: orbits, stabilizers and the
-    witness search of one group share it.  The memo holds at most ell^dim
-    tuples of ``order`` vectors and lives as long as the group.  On the first
-    call the group also builds its permutation table, one permutation of the
-    ell^dim point indices (product order) per element, in element order:
-    perm_k = perm_parent o perm_gen along the links.  An image is then a list
-    lookup.  The table holds order * ell^dim indices and is built only when
-    that is at most ``GROUP_TABLE_CAP``; above it, images are computed as
-    matrix-vector products.
+    The group acts on point indices (product order, see ``_point_index``).
+    ``image_indices(i)`` memoises the indices of g*v over ``elements``, in
+    that order, for every point index i asked about: orbits, stabilizers and
+    the witness search of one group share it.  The memo holds at most
+    ell^dim tuples of ``order`` ints and lives as long as the group.  On the
+    first call the group also builds its permutation table, one permutation
+    of the ell^dim point indices per element, in element order:
+    perm_k = perm_parent o perm_gen along the links.  An image is then a
+    list lookup.  The table holds order * ell^dim indices and is built only
+    when that is at most ``GROUP_TABLE_CAP``; above it, each image is the
+    index of a matrix-vector product.
 
-    ``_orbits`` (reduced a -> ``_Orbit``) and ``_stabilizers`` (W -> the
+    ``_orbits`` (index of a -> ``_Orbit``) and ``_stabilizers`` (W -> the
     stabilizer's keep-mask over ``elements``, one byte each, and its order)
     let every ``extremal_subspace`` and ``verify_bound`` call for one orbit
-    share its work.  Those two fill them on first use, ``orbit`` never does;
-    they hold at most one entry per point or lattice subspace.
+    share its work.  ``_orbits`` is filled by those two and ``epsilon``,
+    ``_stabilizers`` by ``stabilizer``, never by ``orbit``; they hold at most
+    one entry per point or lattice subspace.
     """
 
     ell: int
@@ -171,8 +169,8 @@ class MatrixGroup:
     _stabilizers: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
-    # (points, permutations) once built; () when over GROUP_TABLE_CAP
-    _table: tuple | None = field(
+    # the permutations once built; [] when over GROUP_TABLE_CAP
+    _table: list | None = field(
         default=None, init=False, repr=False, compare=False, hash=False
     )
 
@@ -180,36 +178,35 @@ class MatrixGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    def _permutation_table(self) -> tuple:
+    def _permutation_table(self) -> list:
         if self._table is None:
             ell = self.ell
             if self.order * ell ** self.dim > GROUP_TABLE_CAP:
-                table = ()
+                table = []
             else:
                 points = list(itertools.product(range(ell), repeat=self.dim))
                 compose = [
                     itemgetter(*[_point_index(_mat_vec(s, p, ell), ell) for p in points])
                     for s in self.generators
                 ]
-                perms = [tuple(range(len(points)))]
+                table = [tuple(range(len(points)))]
                 for parent, gen in self.links:
-                    perms.append(compose[gen](perms[parent]))
-                table = (points, perms)
+                    table.append(compose[gen](table[parent]))
             object.__setattr__(self, "_table", table)
         return self._table
 
-    def images(self, v: Vec) -> tuple[Vec, ...]:
-        """(g*v for g in elements) for v with coordinates in [0, ell)."""
-        out = self._images.get(v)
+    def image_indices(self, i: int) -> tuple[int, ...]:
+        """(index of g*v for g in elements), v the point of index i."""
+        out = self._images.get(i)
         if out is None:
-            table = self._permutation_table()
-            if table:
-                points, perms = table
-                i = _point_index(v, self.ell)
-                out = tuple([points[perm[i]] for perm in perms])
+            perms = self._permutation_table()
+            if perms:
+                out = tuple([perm[i] for perm in perms])
             else:
-                out = tuple(_mat_vec(g, v, self.ell) for g in self.elements)
-            self._images[v] = out
+                ell = self.ell
+                v = _point(i, ell, self.dim)
+                out = tuple([_point_index(_mat_vec(g, v, ell), ell) for g in self.elements])
+            self._images[i] = out
         return out
 
 
@@ -268,48 +265,51 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
     return MatrixGroup(ell, dim, tuple(norm), tuple(order), tuple(links))
 
 
-def orbit(G: MatrixGroup, a) -> frozenset[Vec]:
-    a = tuple(int(x) % G.ell for x in a)
+def _index_of(G: MatrixGroup, a) -> int:
+    a = [int(x) % G.ell for x in a]
     if len(a) != G.dim:
         raise ValidationError("vector of wrong dimension")
-    return frozenset(G.images(a))
+    return _point_index(a, G.ell)
+
+
+def orbit(G: MatrixGroup, a) -> frozenset[Vec]:
+    ell, dim = G.ell, G.dim
+    return frozenset([_point(j, ell, dim) for j in set(G.image_indices(_index_of(G, a)))])
 
 
 def epsilon(G: MatrixGroup, a, W: Subspace) -> Fraction:
     """Exact orbit density inside W: #(G.a intersect W) / #G.a."""
-    orb = orbit(G, a)
-    return Fraction(len(orb & W.points()), len(orb))
+    mask = _orbit_memo(G, a)[1].mask
+    return Fraction((mask & W.mask).bit_count(), mask.bit_count())
 
 
+@dataclass(eq=False)
 class _Orbit:
-    """The work that every ``extremal_subspace`` and ``verify_bound`` call for
-    one orbit G*a shares, kept in ``G._orbits`` under the reduced a.
+    """What the ``epsilon``, ``extremal_subspace`` and ``verify_bound`` calls
+    for one orbit G*a share, kept in ``G._orbits`` under the index of a.
 
-    ``ranked[d]`` lists the subspaces W of dimension d with
+    ``orbit`` is the orbit as vectors (the report field), ``mask`` its point
+    set.  ``ranked[d]`` lists the subspaces W of dimension d with
     n = #(G*a intersect W) > 0, sorted by (-n, basis); it is None until the
     first ``extremal_subspace`` call.  ``spanned`` holds each W whose orbit points
     were checked to span it, ``witnesses`` maps each reported W to its
     checked (eps(W), witness g).
     """
 
-    __slots__ = ("orbit", "mask", "ranked", "spanned", "witnesses")
-
-    def __init__(self, orb: frozenset, mask: int):
-        self.orbit = orb
-        self.mask = mask
-        self.ranked = None
-        self.spanned = set()
-        self.witnesses = {}
+    orbit: frozenset
+    mask: int
+    ranked: list | None = None
+    spanned: set = field(default_factory=set)
+    witnesses: dict = field(default_factory=dict)
 
 
-def _orbit_memo(G: MatrixGroup, a) -> tuple[Vec, _Orbit]:
-    """(reduced a, the memo of G*a), built on first use."""
-    a = tuple(int(x) % G.ell for x in a)
-    memo = G._orbits.get(a)
+def _orbit_memo(G: MatrixGroup, a) -> tuple[int, _Orbit]:
+    """(index of a, the memo of G*a), built on first use."""
+    i = _index_of(G, a)
+    memo = G._orbits.get(i)
     if memo is None:
-        orb = orbit(G, a)
-        memo = G._orbits[a] = _Orbit(orb, _point_mask(orb, G.ell))
-    return a, memo
+        memo = G._orbits[i] = _Orbit(orbit(G, a), sum(1 << j for j in set(G.image_indices(i))))
+    return i, memo
 
 
 def _rank_lattice(G: MatrixGroup, orb_mask: int) -> list[list[Subspace]]:
@@ -367,10 +367,10 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace) -> Subspace:
         # the orbit points in W span W iff they reach rank dim W, since each
         # lies in W; a greedy pick of independent ones stops at dim W of them
         picked = []
-        for p in memo.orbit & W.points():
+        for p in memo.orbit:
             if len(picked) == W.dim:
                 break
-            if rank(picked + [p], G.ell) > len(picked):
+            if W.contains(p) and rank(picked + [p], G.ell) > len(picked):
                 picked.append(p)
         if len(picked) < W.dim:
             raise InternalCheckError("extremal subspace not generated by its orbit points")
@@ -378,19 +378,20 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace) -> Subspace:
     return W
 
 
-def stabilizer(G: MatrixGroup, W: Subspace, _keep: list | None = None) -> tuple[Mat, ...]:
+def stabilizer(G: MatrixGroup, W: Subspace) -> tuple[Mat, ...]:
     """Elements with g*W = W, by the direct image test on the basis.
 
-    A list passed as ``_keep`` receives the keep-mask over ``G.elements``.
+    The keep-mask over ``G.elements`` and the order go to ``G._stabilizers``.
     """
-    inside = W.points().__contains__
-    keep = [True] * G.order
+    mask = W.mask
+    keep = [1] * G.order
     for row in W.basis:
-        keep = map(and_, keep, map(inside, G.images(row)))
-    keep = list(keep)
-    if _keep is not None:
-        _keep[:] = keep
-    return tuple(itertools.compress(G.elements, keep))
+        images = G.image_indices(_point_index(row, G.ell))
+        keep = map(and_, keep, [mask >> j & 1 for j in images])
+    keep = bytes(keep)
+    stab = tuple(itertools.compress(G.elements, keep))
+    G._stabilizers[W] = (keep, len(stab))
+    return stab
 
 
 @dataclass(frozen=True)
@@ -415,7 +416,7 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
     V and C are checked in integers.  W's stabilizer is computed once per
     group, its witness and eps(W) once per orbit (see ``MatrixGroup``).
     """
-    a, memo = _orbit_memo(G, a)
+    i, memo = _orbit_memo(G, a)
     den = len(memo.orbit)
     n_v = (memo.mask & V.mask).bit_count()
     if C is None:
@@ -431,12 +432,9 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
             "density precondition fails: eps(V) = %s < 1/C = %s" % (Fraction(n_v, den), 1 / C)
         )
     W = extremal_subspace(G, a, V)
-    stab = G._stabilizers.get(W)
-    if stab is None:
-        keep: list[bool] = []
-        stab_order = len(stabilizer(G, W, keep))
-        stab = G._stabilizers[W] = (bytes(keep), stab_order)
-    keep, stab_order = stab
+    if W not in G._stabilizers:
+        stabilizer(G, W)
+    keep, stab_order = G._stabilizers[W]
     index = G.order // stab_order
     bound = 3 * C ** (4 ** V.dim)
     ok = index * bound.denominator <= bound.numerator
@@ -446,14 +444,15 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
         )
     facts = memo.witnesses.get(W)
     if facts is None:
-        in_w = W.points()
+        in_w = W.mask
         witness, ga = next(
-            ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
+            ((g, j) for g, j in zip(G.elements, G.image_indices(i)) if in_w >> j & 1),
+            (None, None),
         )
         if witness is None:
             raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
         # the witness orbit H*g*a stays inside W because H stabilizes W; checked
-        if not all(map(in_w.__contains__, itertools.compress(G.images(ga), keep))):
+        if not all(in_w >> j & 1 for j in itertools.compress(G.image_indices(ga), keep)):
             raise InternalCheckError("stabilizer orbit escaped W")
         eps_w = Fraction((memo.mask & W.mask).bit_count(), den)
         facts = memo.witnesses[W] = (eps_w, witness)

@@ -295,31 +295,35 @@ def criterion_orbit_densities(seed: int = 0) -> CheckResult:
     t0 = time.time()
     rng = random.Random(seed)
     group_cap = 1500
-    groups = []
     seen = set()
     combos = [(ell, dim) for ell in (2, 3, 5) for dim in (1, 2, 3)]
     # dimension-1 groups are scarce (subgroups of F_ell^*), so the bulk of
     # the quota is taken from the richer combos
     quota = {(ell, dim): (6 if dim == 1 else 40) for ell, dim in combos}
-    for ell, dim in combos:
-        made = 0
-        tries = 0
-        while made < quota[(ell, dim)] and tries < 800:
-            tries += 1
-            gens = _random_gl_generators(rng, ell, dim, rng.randrange(1, 3))
-            try:
-                G = glo.generate_group(gens, ell, dim, cap=group_cap)
-            except Exception:
-                continue
-            key = frozenset(G.elements)
-            if key in seen:
-                continue
-            seen.add(key)
-            groups.append(G)
-            made += 1
+
+    def new_groups():
+        # each group is verified as soon as it is drawn and then dropped with
+        # its memos; only its element set is kept, for deduplication
+        for ell, dim in combos:
+            made = 0
+            tries = 0
+            while made < quota[(ell, dim)] and tries < 800:
+                tries += 1
+                gens = _random_gl_generators(rng, ell, dim, rng.randrange(1, 3))
+                try:
+                    G = glo.generate_group(gens, ell, dim, cap=group_cap)
+                except Exception:
+                    continue
+                key = frozenset(G.elements)
+                if key in seen:
+                    continue
+                seen.add(key)
+                made += 1
+                yield G
+
     violations = 0
     checked = 0
-    for G in groups:
+    for G in new_groups():
         lattice = glo.all_subspaces(G.ell, G.dim)
         # one orbit class per distinct orbit; every (a, V) pair factors
         # through (orbit, V), which is what gets verified
@@ -349,11 +353,11 @@ def criterion_orbit_densities(seed: int = 0) -> CheckResult:
                             ok = False
                 if not ok:
                     violations += 1
-    extra = "%d groups" % len(groups)
+    extra = "%d groups" % len(seen)
     res = _result(6, "orbit-density stabilizer bound", t0, violations, checked, extra)
-    if len(groups) < MIN_GROUPS:
+    if len(seen) < MIN_GROUPS:
         res.passed = False
-        res.details += "; only %d groups generated" % len(groups)
+        res.details += "; only %d groups generated" % len(seen)
     if res.seconds >= 600:
         res.passed = False
         res.details += "; runtime target 600s exceeded"

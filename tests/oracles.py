@@ -11,6 +11,7 @@ algebra element arithmetic.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from math import gcd, isqrt
@@ -31,10 +32,7 @@ from torsionlab.glorbits import (
     GROUP_SIZE_CAP,
     OrbitDensityReport,
     _density_key_cmp,
-    _point_mask,
     all_subspaces,
-    orbit,
-    stabilizer,
 )
 from torsionlab.integers import factorize, nth_prime
 from torsionlab.linalg import ceil_root_fraction, lcm, rank
@@ -564,22 +562,60 @@ def group_elements_by_products(gens, ell: int, dim: int, cap: int = GROUP_SIZE_C
 
 # --- orbit densities: the per-V lattice scan ----------------------------------------
 #
-# The report as it was first written: every call rebuilds the orbit mask, scans
-# the whole lattice for the extremal W and recomputes W's stabilizer, witness
-# and postconditions.  ``glorbits.extremal_subspace`` and ``verify_bound``
-# must return equal results and raise the same errors in the same order.
+# The report as it was first written: every call rebuilds the orbit, scans the
+# whole lattice for the extremal W and recomputes W's stabilizer, witness and
+# postconditions.  Images are matrix-vector products over ``G.elements`` and
+# point sets are sets of vectors, both built here; only the lattice's
+# enumeration and the key comparison come from ``glorbits``.
+# ``glorbits.extremal_subspace`` and ``verify_bound`` must return equal
+# results and raise the same errors in the same order.
+
+_IMAGES_BY_GROUP = {}  # id(G) -> (G, {v: (g*v for g in G.elements)}); G is kept alive
+
+
+def images_by_products(G, v):
+    """(g*v for g in G.elements) by matrix-vector products, memoised per group."""
+    memo = _IMAGES_BY_GROUP.setdefault(id(G), (G, {}))[1]
+    out = memo.get(v)
+    if out is None:
+        ell = G.ell
+        out = memo[v] = tuple(
+            tuple(sum(map(mul, row, v)) % ell for row in g) for g in G.elements
+        )
+    return out
+
+
+def _span_by_coefficients(W, _cache={}):
+    """Every combination of W's basis rows mod ell."""
+    out = _cache.get(W)
+    if out is None:
+        ell = W.ell
+        out = _cache[W] = frozenset(
+            tuple(sum(c * row[j] for c, row in zip(coeffs, W.basis)) % ell
+                  for j in range(W.ambient_dim))
+            for coeffs in itertools.product(range(ell), repeat=len(W.basis))
+        )
+    return out
+
+
+def _orbit_by_products(G, a):
+    a = tuple(int(x) % G.ell for x in a)
+    if len(a) != G.dim:
+        raise ValidationError("vector of wrong dimension")
+    return a, frozenset(images_by_products(G, a))
 
 
 def extremal_subspace_by_scan(G, a, V):
-    orb = orbit(G, a)
+    _, orb = _orbit_by_products(G, a)
     den = len(orb)
-    orb_mask = _point_mask(orb, G.ell)
-    if not orb_mask & V.mask:
+    in_v = _span_by_coefficients(V)
+    if not orb & in_v:
         raise ValidationError("orbit density in V is zero")
     best = None
     for W in all_subspaces(G.ell, G.dim):
-        n = (orb_mask & W.mask).bit_count()
-        if n == 0 or not W.leq(V):
+        in_w = _span_by_coefficients(W)
+        n = len(orb & in_w)
+        if n == 0 or not in_w <= in_v:
             continue
         e = 4 ** W.dim
         if best is None:
@@ -590,7 +626,7 @@ def extremal_subspace_by_scan(G, a, V):
             best = (W, n, e)
     W = best[0]
     picked = []
-    for p in orb & W.points():
+    for p in orb & _span_by_coefficients(W):
         if len(picked) == W.dim:
             break
         if rank(picked + [p], G.ell) > len(picked):
@@ -601,9 +637,8 @@ def extremal_subspace_by_scan(G, a, V):
 
 
 def verify_bound_by_scan(G, a, V, C=None):
-    orb = orbit(G, a)
-    a = tuple(int(x) % G.ell for x in a)
-    eps_v = Fraction(len(orb & V.points()), len(orb))
+    a, orb = _orbit_by_products(G, a)
+    eps_v = Fraction(len(orb & _span_by_coefficients(V)), len(orb))
     if C is None:
         if eps_v == 0:
             raise ValidationError("orbit misses V; supply C explicitly or enlarge V")
@@ -616,23 +651,26 @@ def verify_bound_by_scan(G, a, V, C=None):
             "density precondition fails: eps(V) = %s < 1/C = %s" % (eps_v, 1 / C)
         )
     W = extremal_subspace_by_scan(G, a, V)
-    eps_w = Fraction(len(orb & W.points()), len(orb))
-    keep = []
-    stab = stabilizer(G, W, keep)
-    index = len(G.elements) // len(stab)
+    in_w = _span_by_coefficients(W)
+    eps_w = Fraction(len(orb & in_w), len(orb))
+    keep = [True] * len(G.elements)
+    for row in W.basis:
+        keep = [k and p in in_w for k, p in zip(keep, images_by_products(G, row))]
+    stab_order = sum(keep)
+    index = len(G.elements) // stab_order
     bound = 3 * C ** (4 ** V.dim)
     ok = Fraction(index) <= bound
     if not ok:
         raise InternalCheckError("stabilizer index %d violates the bound %s" % (index, bound))
-    in_w = W.points()
     witness, ga = next(
-        ((g, p) for g, p in zip(G.elements, G.images(a)) if p in in_w), (None, None)
+        ((g, p) for g, p in zip(G.elements, images_by_products(G, a)) if p in in_w),
+        (None, None),
     )
     if witness is None:
         raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
-    if not all(map(in_w.__contains__, [p for p, k in zip(G.images(ga), keep) if k])):
+    if not all(p in in_w for p, k in zip(images_by_products(G, ga), keep) if k):
         raise InternalCheckError("stabilizer orbit escaped W")
     return OrbitDensityReport(
         orbit=orb, V=V, C=C, W=W, epsilon_V=eps_v, epsilon_W=eps_w, stab_index=index,
-        bound=bound, bound_ok=ok, witness_g=witness, stabilizer_order=len(stab),
+        bound=bound, bound_ok=ok, witness_g=witness, stabilizer_order=stab_order,
     )

@@ -191,6 +191,24 @@ def test_gl_verify_past_the_group_table_cap_answers(tmp_path):
     )
 
 
+def test_gl_verify_ranks_the_f2_7_lattice_within_96_mib(tmp_path):
+    # the identity group on F_2^7 ranks all 29 212 subspaces of the lattice;
+    # holding each one's point set only as a bitmask keeps the answer inside
+    # 96 MiB of address space (35 MB peak RSS on a 2-vCPU VM; a frozenset of
+    # vectors per subspace as well takes it to 94 MB)
+    eye = [[int(i == j) for j in range(7)] for i in range(7)]
+    path = tmp_path / "identity_f2_7.json"
+    path.write_text(json.dumps({"ell": 2, "dim": 7, "generators": [eye], "a": [1] * 7, "V": eye}))
+    proc = _limited_child(["gl-verify", "--input", str(path)], cpu_seconds=10,
+                          address_space_mib=96)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"W_basis":[[1,1,1,1,1,1,1]],"bound":[3,1],"bound_ok":true,"dim":7,"ell":2,'
+        '"epsilon_V":[1,1],"epsilon_W":[1,1],"group_order":1,"orbit_size":1,"stab_index":1,'
+        '"stabilizer_order":1,"witness_g":' + json.dumps(eye, separators=(",", ":")) + "}\n"
+    )
+
+
 def test_gl_verify_rejects_unknown_fields(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"ell": 3, "dim": 1, "generators": [],
@@ -366,14 +384,15 @@ def test_gl_verify_big_ell_fails_fast(tmp_path):
     ]
 
 
-def _limited_child(argv, cpu_seconds=2):
-    """``python -m torsionlab argv`` under a CPU-second and 512 MiB limit, so
-    that a missing cap fails the test instead of exhausting the host."""
+def _limited_child(argv, cpu_seconds=2, address_space_mib=512):
+    """``python -m torsionlab argv`` under a CPU-second and address-space limit,
+    so that a missing cap fails the test instead of exhausting the host."""
     import resource
 
     def limit():
         resource.setrlimit(resource.RLIMIT_CPU, (cpu_seconds, cpu_seconds + 1))
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 29, 1 << 29))
+        limit_bytes = address_space_mib << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
     return subprocess.run([sys.executable, "-m", "torsionlab"] + argv, capture_output=True,
                           text=True, timeout=30, preexec_fn=limit, env=child_env())

@@ -130,6 +130,8 @@ def test_subspace_contains_matches_elimination():
         for W in all_subspaces(ell, dim):
             for v in itertools.product(coords, repeat=dim):
                 assert W.contains(v) == W.contains(list(v)) == by_elimination(W, v)
+            # vectors of another length lie in no subspace, the zero subspace included
+            assert not W.contains(()) and not W.contains((0,) * (dim + 1))
             assert W.points() == frozenset(
                 p for p in itertools.product(range(ell), repeat=dim) if by_elimination(W, p)
             )
@@ -140,10 +142,11 @@ def test_group_images_memo():
 
     G = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
     H = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
-    for v in itertools.product(range(3), repeat=3):
-        images = G.images(v)
-        assert images == tuple(_mat_vec(g, v, 3) for g in G.elements)
-        assert G.images(v) is images
+    points = list(itertools.product(range(3), repeat=3))
+    for i, v in enumerate(points):
+        images = G.image_indices(i)
+        assert [points[j] for j in images] == [_mat_vec(g, v, 3) for g in G.elements]
+        assert G.image_indices(i) is images
     # the memo takes no part in equality or hashing
     assert G == H and hash(G) == hash(H)
     for W in all_subspaces(3, 3):
@@ -196,6 +199,29 @@ def test_extremal_postcondition_refuses_a_w_its_orbit_points_do_not_span(monkeyp
     monkeypatch.setattr(glorbits, "all_subspaces", lambda ell, dim: [V])
     with pytest.raises(InternalCheckError, match="not generated by its orbit points"):
         extremal_subspace(G, a, V)
+
+
+def test_extremal_postcondition_counts_only_the_orbit_points_in_w(monkeypatch):
+    # the orbit {(1,0,0), (0,0,1)} spans a plane, but only (1,0,0) lies in W
+    G = generate_group([[[0, 0, 1], [0, 1, 0], [1, 0, 0]]], 5, 3)
+    W = V_of([(1, 0, 0), (0, 1, 0)], 5, 3)
+    monkeypatch.setattr(glorbits, "all_subspaces", lambda ell, dim: [W])
+    with pytest.raises(InternalCheckError, match="not generated by its orbit points"):
+        extremal_subspace(G, (1, 0, 0), full_space(5, 3))
+
+
+def test_verify_bound_postcondition_refuses_a_stabilizer_that_moves_w(monkeypatch):
+    # a stabilizer memo claiming the swap fixes the x-axis: the swap maps the
+    # witness orbit point (1, 0) to (0, 1), outside W
+    G = generate_group([[[0, 1], [1, 0]]], 5, 2)
+
+    def every_element(G, W):
+        G._stabilizers[W] = (bytes([1]) * G.order, G.order)
+        return G.elements
+
+    monkeypatch.setattr(glorbits, "stabilizer", every_element)
+    with pytest.raises(InternalCheckError, match="stabilizer orbit escaped W"):
+        verify_bound(G, (1, 0), V_of([(1, 0)], 5, 2))
 
 
 def test_extremal_optimality_inequality():
@@ -415,18 +441,25 @@ def _small_groups():
     ]
 
 
+def _assert_images_are_products(G):
+    from torsionlab.glorbits import _mat_vec
+
+    points = list(itertools.product(range(G.ell), repeat=G.dim))
+    for i, v in enumerate(points):
+        images = G.image_indices(i)
+        assert [points[j] for j in images] == [_mat_vec(g, v, G.ell) for g in G.elements]
+
+
 @pytest.mark.parametrize("table_cap", [None, 0])
 def test_images_match_matrix_vector_products(table_cap, monkeypatch):
     from torsionlab import glorbits
-    from torsionlab.glorbits import _mat_vec
 
     if table_cap is not None:
         monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", table_cap)
     groups = _small_groups() + [generate_group(r["gens"], r["ell"], 3)
                                 for r in _mid_group_requests()[:2]]
     for G in groups:
-        for v in itertools.product(range(G.ell), repeat=G.dim):
-            assert G.images(v) == tuple(_mat_vec(g, v, G.ell) for g in G.elements)
+        _assert_images_are_products(G)
         assert bool(G._table) == (table_cap is None)
 
 
@@ -436,8 +469,9 @@ def test_group_table_is_built_up_to_its_cap(monkeypatch):
     for slack, built in ((0, True), (-1, False)):
         G = generate_group([[[0, 1], [1, 0]], [[2, 0], [0, 2]]], 5, 2)
         monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", G.order * 5 ** 2 + slack)
-        G.images((1, 0))
+        G.image_indices(5)  # the point (1, 0)
         assert bool(G._table) == built
+        _assert_images_are_products(G)
 
 
 def test_subspace_masks_match_the_point_sets():
@@ -450,6 +484,16 @@ def test_subspace_masks_match_the_point_sets():
             for W in lattice:
                 for U in lattice:
                     assert W.leq(U) == all(U.contains(r) for r in W.basis)
+
+
+def test_lattice_subspaces_hold_only_their_masks():
+    # ranking the F_3^4 lattice for an orbit builds every subspace's mask and
+    # leaves no other point set on the cached subspaces
+    G = generate_group([[[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]]], 3, 4)
+    rep = verify_bound(G, (1, 2, 0, 0), full_space(3, 4))
+    assert rep.orbit == orbit(G, (1, 2, 0, 0)) and len(rep.orbit) == 4
+    for W in all_subspaces(3, 4):
+        assert set(vars(W)) == {"ell", "ambient_dim", "basis", "mask"}
 
 
 def _reports(G, a):
@@ -523,10 +567,11 @@ def test_orbit_memo_matches_the_per_v_scan():
         # a of each orbit, on a third
         alone, backwards, explicit = (generate_group(gens, ell, dim) for _ in range(3))
         orbits = set()
+        points = {V: V.points() for V in lattice}
         for a in itertools.product(range(ell), repeat=dim):
             orb = orbit(ref, a)
-            meets = [V for V in lattice if orb & V.points()]
-            misses = [V for V in lattice if not orb & V.points()]
+            meets = [V for V in lattice if orb & points[V]]
+            misses = [V for V in lattice if not orb & points[V]]
             expected = {V: _outcome(verify_bound_by_scan, ref, a, V) for V in lattice}
             for V in meets:
                 assert extremal_subspace(alone, a, V) == expected[V]["W"][1], (gens, a, V)
