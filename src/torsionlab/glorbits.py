@@ -9,7 +9,11 @@ integer comparisons; no floating point is involved anywhere.
 Internally a point of F_ell^dim is its index in product order (see
 ``_point_index``) and a point set is an int bitmask over those indices.
 Vectors are built only at the boundary: ``orbit``, ``Subspace.points`` and
-the fields of an ``OrbitDensityReport``.
+the fields of an ``OrbitDensityReport``.  A group acts on point indices
+through its generators' inverse permutations, whatever its order: orbits
+are breadth-first searches over them, and the preimages g^-1*v over the
+elements follow the closure's links.  Matrix-vector products over the
+elements are made only by the closure and by the walk for the witness.
 """
 
 from __future__ import annotations
@@ -29,10 +33,6 @@ SUBSPACE_LATTICE_CAP = 3125  # 5^5
 
 #: group closure gives up past this many elements
 GROUP_SIZE_CAP = 200_000
-
-#: a group builds its permutation table only when order * ell^dim is at most
-#: this many entries (about 32 MiB of pointers); above it, images are products
-GROUP_TABLE_CAP = 1 << 22
 
 Vec = tuple[int, ...]
 Mat = tuple[Vec, ...]
@@ -135,17 +135,16 @@ class MatrixGroup:
     generator index) of the closure step that found it: elements[k] =
     elements[parent] * generators[gen].
 
-    The group acts on point indices (product order, see ``_point_index``).
-    ``image_indices(i)`` memoises the indices of g*v over ``elements``, in
-    that order, for every point index i asked about: orbits, stabilizers and
-    the witness search of one group share it.  The memo holds at most
-    ell^dim tuples of ``order`` ints and lives as long as the group.  On the
-    first call the group also builds its permutation table, one permutation
-    of the ell^dim point indices per element, in element order:
-    perm_k = perm_parent o perm_gen along the links.  An image is then a
-    list lookup.  The table holds order * ell^dim indices and is built only
-    when that is at most ``GROUP_TABLE_CAP``; above it, each image is the
-    index of a matrix-vector product.
+    The group acts on point indices (product order, see ``_point_index``)
+    through its generators alone.  On first use it builds the inverse
+    permutation of each generator, #generators * ell^dim indices; orbits are
+    breadth-first searches over these.  ``preimage_indices(i)`` memoises the
+    indices of g^-1*v over ``elements``, in that order, for every point index
+    i asked about, by recursion along the links: g_k^-1*v =
+    s^-1*(g_parent^-1*v) for g_k = g_parent*s, one list lookup per element.
+    Stabilizers and the witness check of one group share the memo, which
+    holds at most ell^dim tuples of ``order`` ints and lives as long as the
+    group.
 
     ``_orbits`` (index of a -> ``_Orbit``) and ``_stabilizers`` (W -> the
     stabilizer's keep-mask over ``elements``, one byte each, and its order)
@@ -160,7 +159,7 @@ class MatrixGroup:
     generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
     links: tuple[tuple[int, int], ...] = field(repr=False, compare=False)
-    _images: dict = field(
+    _preimages: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
     _orbits: dict = field(
@@ -169,44 +168,33 @@ class MatrixGroup:
     _stabilizers: dict = field(
         default_factory=dict, init=False, repr=False, compare=False, hash=False
     )
-    # the permutations once built; [] when over GROUP_TABLE_CAP
-    _table: list | None = field(
-        default=None, init=False, repr=False, compare=False, hash=False
-    )
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
-    def _permutation_table(self) -> list:
-        if self._table is None:
-            ell = self.ell
-            if self.order * ell ** self.dim > GROUP_TABLE_CAP:
-                table = []
-            else:
-                points = list(itertools.product(range(ell), repeat=self.dim))
-                compose = [
-                    itemgetter(*[_point_index(_mat_vec(s, p, ell), ell) for p in points])
-                    for s in self.generators
-                ]
-                table = [tuple(range(len(points)))]
-                for parent, gen in self.links:
-                    table.append(compose[gen](table[parent]))
-            object.__setattr__(self, "_table", table)
-        return self._table
+    @cached_property
+    def _inverse_perms(self) -> tuple[list[int], ...]:
+        """For each generator s, the list j -> index of s^-1*v, v the point of index j."""
+        ell = self.ell
+        out = []
+        for s in self.generators:
+            perm = [0] * ell ** self.dim
+            for i, p in enumerate(itertools.product(range(ell), repeat=self.dim)):
+                perm[_point_index(_mat_vec(s, p, ell), ell)] = i
+            out.append(perm)
+        return tuple(out)
 
-    def image_indices(self, i: int) -> tuple[int, ...]:
-        """(index of g*v for g in elements), v the point of index i."""
-        out = self._images.get(i)
+    def preimage_indices(self, i: int) -> tuple[int, ...]:
+        """(index of g^-1*v for g in elements), v the point of index i."""
+        out = self._preimages.get(i)
         if out is None:
-            perms = self._permutation_table()
-            if perms:
-                out = tuple([perm[i] for perm in perms])
-            else:
-                ell = self.ell
-                v = _point(i, ell, self.dim)
-                out = tuple([_point_index(_mat_vec(g, v, ell), ell) for g in self.elements])
-            self._images[i] = out
+            perms = self._inverse_perms
+            out = [i]
+            append = out.append
+            for parent, gen in self.links:
+                append(perms[gen][out[parent]])
+            out = self._preimages[i] = tuple(out)
         return out
 
 
@@ -272,9 +260,24 @@ def _index_of(G: MatrixGroup, a) -> int:
     return _point_index(a, G.ell)
 
 
+def _orbit_indices(G: MatrixGroup, i: int) -> list[int]:
+    """The indices of G*v, v the point of index i, by breadth-first search over
+    the generators' inverse permutations: a finite group's orbit is its
+    generators' orbit (inverses are powers), and with no generators it is {v}."""
+    found = {i}
+    queue = [i]
+    for j in queue:
+        for perm in G._inverse_perms:
+            k = perm[j]
+            if k not in found:
+                found.add(k)
+                queue.append(k)
+    return queue
+
+
 def orbit(G: MatrixGroup, a) -> frozenset[Vec]:
     ell, dim = G.ell, G.dim
-    return frozenset([_point(j, ell, dim) for j in set(G.image_indices(_index_of(G, a)))])
+    return frozenset([_point(j, ell, dim) for j in _orbit_indices(G, _index_of(G, a))])
 
 
 def epsilon(G: MatrixGroup, a, W: Subspace) -> Fraction:
@@ -293,7 +296,8 @@ class _Orbit:
     n = #(G*a intersect W) > 0, sorted by (-n, basis); it is None until the
     first ``extremal_subspace`` call.  ``spanned`` holds each W whose orbit points
     were checked to span it, ``witnesses`` maps each reported W to its
-    checked (eps(W), witness g).
+    checked (eps(W), witness g).  ``images`` holds the indices of g*a over
+    the first elements of ``G.elements``, as far as a witness walk went.
     """
 
     orbit: frozenset
@@ -301,6 +305,7 @@ class _Orbit:
     ranked: list | None = None
     spanned: set = field(default_factory=set)
     witnesses: dict = field(default_factory=dict)
+    images: list = field(default_factory=list)
 
 
 def _orbit_memo(G: MatrixGroup, a) -> tuple[int, _Orbit]:
@@ -308,7 +313,10 @@ def _orbit_memo(G: MatrixGroup, a) -> tuple[int, _Orbit]:
     i = _index_of(G, a)
     memo = G._orbits.get(i)
     if memo is None:
-        memo = G._orbits[i] = _Orbit(orbit(G, a), sum(1 << j for j in set(G.image_indices(i))))
+        indices = _orbit_indices(G, i)
+        memo = G._orbits[i] = _Orbit(
+            frozenset([_point(j, G.ell, G.dim) for j in indices]), sum(1 << j for j in indices)
+        )
     return i, memo
 
 
@@ -379,15 +387,17 @@ def extremal_subspace(G: MatrixGroup, a, V: Subspace) -> Subspace:
 
 
 def stabilizer(G: MatrixGroup, W: Subspace) -> tuple[Mat, ...]:
-    """Elements with g*W = W, by the direct image test on the basis.
+    """Elements with g*W = W, by a preimage test on the basis.
 
-    The keep-mask over ``G.elements`` and the order go to ``G._stabilizers``.
+    g*W = W iff g^-1*W = W, and since g^-1*W has the dimension of W, that
+    holds iff g^-1 maps every basis row into W.  The keep-mask over
+    ``G.elements`` and the order go to ``G._stabilizers``.
     """
     mask = W.mask
     keep = [1] * G.order
     for row in W.basis:
-        images = G.image_indices(_point_index(row, G.ell))
-        keep = map(and_, keep, [mask >> j & 1 for j in images])
+        preimages = G.preimage_indices(_point_index(row, G.ell))
+        keep = map(and_, keep, [mask >> j & 1 for j in preimages])
     keep = bytes(keep)
     stab = tuple(itertools.compress(G.elements, keep))
     G._stabilizers[W] = (keep, len(stab))
@@ -445,14 +455,23 @@ def verify_bound(G: MatrixGroup, a, V: Subspace, C=None) -> OrbitDensityReport:
     facts = memo.witnesses.get(W)
     if facts is None:
         in_w = W.mask
-        witness, ga = next(
-            ((g, j) for g, j in zip(G.elements, G.image_indices(i)) if in_w >> j & 1),
-            (None, None),
-        )
-        if witness is None:
+        ell = G.ell
+        v = _point(i, ell, G.dim)
+        images = memo.images
+        # the first element in closure order with g*a in W, by products that
+        # the walks for one orbit's W's share
+        for k, witness in enumerate(G.elements):
+            if k == len(images):
+                images.append(_point_index(_mat_vec(witness, v, ell), ell))
+            if in_w >> images[k] & 1:
+                break
+        else:
             raise InternalCheckError("eps(W) > 0 guarantees an orbit point in W")
-        # the witness orbit H*g*a stays inside W because H stabilizes W; checked
-        if not all(in_w >> j & 1 for j in itertools.compress(G.image_indices(ga), keep)):
+        ga = images[k]
+        # the witness orbit H*g*a stays inside W because H stabilizes W;
+        # checked on the preimages h^-1*g*a, the same set since H is closed
+        # under inverses
+        if not all(in_w >> j & 1 for j in itertools.compress(G.preimage_indices(ga), keep)):
             raise InternalCheckError("stabilizer orbit escaped W")
         eps_w = Fraction((memo.mask & W.mask).bit_count(), den)
         facts = memo.witnesses[W] = (eps_w, witness)

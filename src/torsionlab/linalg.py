@@ -3,13 +3,13 @@ echelon enumeration of summand bases, integer Smith form, integer roots.
 
 Everything here is deterministic and exact.  Rational matrices are read and
 returned as tuples of tuples of Fractions, but the kernels compute in
-integers: a rational row or matrix is cleared to integer entries over one
-common denominator (``over_one_den``, ``int_matrix``), eliminated and
-multiplied in ints, and a Fraction is built only for an output entry.
-Callers that go on computing in integers take the integer results
-directly: ``span_basis`` and ``int_span_intersect`` (a canonical integer
-basis of a span) and ``int_solve`` (a solution over one denominator).
-Integer and F_ell matrices are lists of lists of ints.  No floating point
+integers: a rational row is cleared to integer entries over one common
+denominator (``over_one_den``) and eliminated in ints, and a Fraction is
+built only for an output entry.  Callers that go on computing in integers
+take the integer results directly: ``span_basis`` and
+``int_span_intersect`` (a canonical integer basis of a span) and
+``int_solve`` (a solution over one denominator).  Integer and F_ell
+matrices are lists of lists of ints.  No floating point
 decides a result: ``iroot`` only seeds its exact iteration with a float
 estimate.
 """
@@ -28,11 +28,6 @@ _INT = {int}
 _RATIONAL = {int, Fraction}
 _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
-
-
-def frac_rows(rows) -> Matrix:
-    """Normalize any nested numeric iterable into a Fraction matrix."""
-    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def over_one_den(values) -> tuple[list[int], int]:
@@ -60,40 +55,6 @@ def _primitive(row: list[int]) -> list[int]:
     """The integer row divided by the gcd of its entries."""
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def int_matrix(mat) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """(rows, den) with mat = rows / den over the lcm of its denominators;
-    equal matrices give equal pairs."""
-    width = len(mat[0]) if mat else 0
-    if not width:
-        return tuple(() for _ in mat), 1
-    flat, den = over_one_den([x for row in mat for x in row])
-    return tuple(tuple(flat[i:i + width]) for i in range(0, len(flat), width)), den
-
-
-def int_mat_mul(a, b) -> tuple[tuple[int, ...], ...]:
-    """a @ b for integer matrices, each output row summed from the rows of b at
-    the nonzero entries of the row of a; no zero product is formed, so matrix
-    units are cheap."""
-    width = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * width
-        for x, brow in zip(row, b):
-            if x:
-                acc = [s + x * y for s, y in zip(acc, brow)]
-        out.append(tuple(acc))
-    return tuple(out)
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """a @ b over Q: the integer product of a and b over their common
-    denominators, divided once per output entry."""
-    a, a_den = int_matrix(a)
-    b, b_den = int_matrix(b)
-    den = a_den * b_den
-    return tuple(tuple(Fraction(x, den) for x in row) for row in int_mat_mul(a, b))
 
 
 def _echelon(rows, ell: int | None = None) -> tuple[list[list[int]], list[int]]:

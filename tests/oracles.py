@@ -194,10 +194,11 @@ def final_delta_by_rk_list(params) -> int:
 # names a message, with that message.
 #
 # The kernels built on elimination (``span_leq``, ``nullspace``,
-# ``span_intersect``, ``solve``, ``mat_mul``) and algebra element arithmetic
-# as first written, one Fraction at a time, follow; the library computes
-# them in integers over one denominator and must agree exactly.  The
-# elimination they call is ``rref_by_fractions``.
+# ``span_intersect``, ``solve``) and algebra element arithmetic as first
+# written, one Fraction at a time, follow; the library computes them in
+# integers over one denominator and must agree exactly.  The elimination
+# they call is ``rref_by_fractions``.  ``mat_mul`` has no library
+# counterpart: the tests multiply Fraction matrices with it.
 
 
 def zeros(n: int, m: int):

@@ -13,6 +13,7 @@ from oracles import (
     blocks_sub,
     embedding_apply_by_fractions,
     embedding_error_by_reference,
+    mat_mul,
     primitive_rows,
     representation_apply_by_fractions,
     representation_error_by_reference,
@@ -36,7 +37,11 @@ from torsionlab.algebras import (
     standard_representation,
 )
 from torsionlab.errors import ValidationError
-from torsionlab.linalg import frac_rows, mat_mul, span_leq
+from torsionlab.linalg import span_leq
+
+
+def fraction_rows(rows):
+    return tuple(tuple(Fraction(x) for x in row) for row in rows)
 
 
 def M2():
@@ -161,7 +166,7 @@ def _error(build):
 def _conjugator(draw, n):
     """A random g with det 1 (unit lower times unit upper triangular) and its inverse."""
     def unit_triangular(lower):
-        return frac_rows([[1 if i == j else draw(st.integers(-3, 3)) if (j < i) == lower else 0
+        return fraction_rows([[1 if i == j else draw(st.integers(-3, 3)) if (j < i) == lower else 0
                            for j in range(n)] for i in range(n)])
     g = mat_mul(unit_triangular(True), unit_triangular(False))
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
@@ -179,7 +184,7 @@ def _mutated(draw, blocks, images, zero):
         mat = [list(row) for row in images[k][t]]
         i, j = draw(st.integers(0, len(mat) - 1)), draw(st.integers(0, len(mat) - 1))
         mat[i][j] += draw(st.sampled_from((1, -1, Fraction(1, 2), Fraction(-7, 3), 10 ** 20)))
-        images[k] = images[k][:t] + (frac_rows(mat),) + images[k][t + 1:]
+        images[k] = images[k][:t] + (fraction_rows(mat),) + images[k][t + 1:]
     elif kind == "swap" and len(images) > 1:
         a, b = draw(st.lists(st.integers(0, len(images) - 1), min_size=2, max_size=2,
                              unique=True))
@@ -395,7 +400,7 @@ def _counting_fractions():
 
 def _dominant(rng, n):
     """A diagonally dominant, hence invertible, rational g and its inverse."""
-    g = frac_rows([[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) + (i == j) * 20
+    g = fraction_rows([[Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) + (i == j) * 20
                     for j in range(n)] for i in range(n)])
     aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(g)]
     return g, tuple(tuple(row[n:]) for row in rref_by_fractions(aug)[0])

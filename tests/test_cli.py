@@ -171,12 +171,9 @@ def test_gl_verify_stdout_is_pinned(tmp_path, capsys, payload, stdout):
 
 
 def test_gl_verify_past_the_group_table_cap_answers(tmp_path):
-    # SL_2(F_13) x 1 in GL_3(F_13): 2184 elements on 13^3 = 2197 points is past
-    # GROUP_TABLE_CAP, so images are matrix-vector products; the answer is the
+    # SL_2(F_13) x 1 in GL_3(F_13): 2184 elements on 13^3 = 2197 points, more
+    # than a permutation table of 2^22 entries holds; the answer is the
     # matrix-product implementation's, byte for byte (0.4 CPU s on a 2-vCPU VM)
-    from torsionlab.glorbits import GROUP_TABLE_CAP
-
-    assert 2184 * 13 ** 3 > GROUP_TABLE_CAP
     path = tmp_path / "sl2f13.json"
     path.write_text(json.dumps({
         "ell": 13, "dim": 3,
@@ -188,6 +185,23 @@ def test_gl_verify_past_the_group_table_cap_answers(tmp_path):
         '{"W_basis":[[1,0,1]],"bound":["6533860013428113408",1],"bound_ok":true,"dim":3,'
         '"ell":13,"epsilon_V":[1,14],"epsilon_W":[1,168],"group_order":2184,"orbit_size":168,'
         '"stab_index":168,"stabilizer_order":13,"witness_g":[[1,0,0],[0,1,0],[0,0,1]]}\n'
+    )
+
+
+def test_gl_verify_answers_for_gl2_f19(tmp_path):
+    # GL_2(F_19), 123 120 elements, acts through its three generators; the
+    # answer is the matrix-product implementation's, byte for byte (0.6 to 0.9
+    # CPU s on a 2-vCPU VM; 1.2 to 2.0 s with a product per element and point)
+    path = tmp_path / "gl2f19.json"
+    path.write_text(json.dumps({
+        "ell": 19, "dim": 2, "generators": [[[1, 1], [0, 1]], [[1, 0], [1, 1]], [[2, 0], [0, 1]]],
+        "a": [1, 0], "V": [[3, 1]]}))
+    proc = _limited_child(["gl-verify", "--input", str(path)], cpu_seconds=5)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"W_basis":[[1,13]],"bound":[480000,1],"bound_ok":true,"dim":2,"ell":19,'
+        '"epsilon_V":[1,20],"epsilon_W":[1,20],"group_order":123120,"orbit_size":360,'
+        '"stab_index":20,"stabilizer_order":6156,"witness_g":[[3,2],[1,1]]}\n'
     )
 
 

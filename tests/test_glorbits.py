@@ -138,15 +138,18 @@ def test_subspace_contains_matches_elimination():
 
 
 def test_group_images_memo():
+    # the memo holds, per point index, the indices of its images under the
+    # inverses of the elements
     from torsionlab.glorbits import _mat_vec
 
     G = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
     H = generate_group([[[0, 1, 0], [0, 0, 1], [1, 0, 0]], [[2, 0, 0], [0, 1, 0], [0, 0, 1]]], 3, 3)
     points = list(itertools.product(range(3), repeat=3))
     for i, v in enumerate(points):
-        images = G.image_indices(i)
-        assert [points[j] for j in images] == [_mat_vec(g, v, 3) for g in G.elements]
-        assert G.image_indices(i) is images
+        preimages = G.preimage_indices(i)
+        assert [_mat_vec(g, points[j], 3) for g, j in zip(G.elements, preimages)] == \
+            [v] * G.order
+        assert G.preimage_indices(i) is preimages
     # the memo takes no part in equality or hashing
     assert G == H and hash(G) == hash(H)
     for W in all_subspaces(3, 3):
@@ -342,7 +345,7 @@ def matmul_rows(a, b, ell):
     )
 
 
-# --- closure by row memo, permutation table and masks against their references -------
+# --- closure by row memo, preimages, orbits and masks against their references -------
 
 
 def _c6_draws(seed):
@@ -441,37 +444,80 @@ def _small_groups():
     ]
 
 
-def _assert_images_are_products(G):
+@pytest.mark.parametrize("generator", [None, 0])
+def test_images_match_matrix_vector_products(generator):
+    # None: g maps the point of every preimage index j back to v, for every
+    # element g; 0: the first generator s maps the point of its inverse
+    # permutation's entry j back to the point of index j
     from torsionlab.glorbits import _mat_vec
 
-    points = list(itertools.product(range(G.ell), repeat=G.dim))
-    for i, v in enumerate(points):
-        images = G.image_indices(i)
-        assert [points[j] for j in images] == [_mat_vec(g, v, G.ell) for g in G.elements]
-
-
-@pytest.mark.parametrize("table_cap", [None, 0])
-def test_images_match_matrix_vector_products(table_cap, monkeypatch):
-    from torsionlab import glorbits
-
-    if table_cap is not None:
-        monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", table_cap)
     groups = _small_groups() + [generate_group(r["gens"], r["ell"], 3)
                                 for r in _mid_group_requests()[:2]]
+    assert any(not G.generators for G in groups)
+    checked = 0
     for G in groups:
-        _assert_images_are_products(G)
-        assert bool(G._table) == (table_cap is None)
+        points = list(itertools.product(range(G.ell), repeat=G.dim))
+        if generator is None:
+            for i, v in enumerate(points):
+                preimages = G.preimage_indices(i)
+                assert len(preimages) == G.order
+                assert all(_mat_vec(g, points[j], G.ell) == v
+                           for g, j in zip(G.elements, preimages))
+        elif G.generators:
+            s, perm = G.generators[generator], G._inverse_perms[generator]
+            assert sorted(perm) == list(range(len(points)))
+            assert all(_mat_vec(s, points[j], G.ell) == v for j, v in zip(perm, points))
+        else:
+            continue
+        checked += 1
+    assert checked == len(groups) - (generator is not None)
 
 
-def test_group_table_is_built_up_to_its_cap(monkeypatch):
-    from torsionlab import glorbits
+@pytest.mark.parametrize("seed", [0, 1])
+def test_orbits_match_the_products_on_c6_draws(seed):
+    # every point's orbit is {g*a for g in the elements}; one product sweep
+    # per orbit covers all of its points
+    from torsionlab.glorbits import _mat_vec
 
-    for slack, built in ((0, True), (-1, False)):
-        G = generate_group([[[0, 1], [1, 0]], [[2, 0], [0, 2]]], 5, 2)
-        monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", G.order * 5 ** 2 + slack)
-        G.image_indices(5)  # the point (1, 0)
-        assert bool(G._table) == built
-        _assert_images_are_products(G)
+    groups = {}
+    for gens, ell, dim, expected in _c6_draws(seed):
+        if not isinstance(expected, int):
+            groups.setdefault(frozenset(expected), (gens, ell, dim, expected))
+    points = 0
+    for gens, ell, dim, elements in groups.values():
+        G = generate_group(gens, ell, dim, cap=1500)
+        left = set(itertools.product(range(ell), repeat=dim))
+        while left:
+            a = min(left)
+            orb = {_mat_vec(g, a, ell) for g in elements}
+            for b in orb:
+                assert orbit(G, b) == orb, (gens, ell, dim, b)
+            left -= orb
+            points += len(orb)
+    assert len(groups) > 200 and points > 7000
+
+
+def test_group_holds_no_per_element_table():
+    # the group keeps its generators' permutations and the preimages asked for;
+    # orbits and densities ask for none, a report for those of W's basis rows
+    # and of its witness point g*a
+    from torsionlab.glorbits import _mat_vec, _point_index
+
+    for r in _mid_group_requests()[:2]:
+        G = generate_group(r["gens"], r["ell"], 3)
+        a = tuple(r["a"])
+        orb = orbit(G, a)
+        Vs = [V for V in all_subspaces(G.ell, 3) if orb & V.points()]
+        epsilon(G, a, Vs[0])
+        assert G._preimages == {}
+        reports = [verify_bound(G, a, V) for V in Vs]
+        asked = {_point_index(row, G.ell) for rep in reports for row in rep.W.basis}
+        asked |= {_point_index(_mat_vec(rep.witness_g, a, G.ell), G.ell) for rep in reports}
+        assert set(G._preimages) == asked
+        assert all(len(pre) == G.order for pre in G._preimages.values())
+        assert set(vars(G)) == {"ell", "dim", "generators", "elements", "links",
+                                "_preimages", "_orbits", "_stabilizers", "_inverse_perms"}
+        assert [len(perm) for perm in G._inverse_perms] == [G.ell ** 3] * len(G.generators)
 
 
 def test_subspace_masks_match_the_point_sets():
@@ -496,29 +542,46 @@ def test_lattice_subspaces_hold_only_their_masks():
         assert set(vars(W)) == {"ell", "ambient_dim", "basis", "mask"}
 
 
-def _reports(G, a):
+def _reports_by_products(G, a):
+    """For each V the orbit of a meets: V, W, W's stabilizer, and the report's
+    W, index and witness, all by matrix-vector products over the elements."""
+    from oracles import (
+        _span_by_coefficients, extremal_subspace_by_scan, images_by_products, verify_bound_by_scan)
+
     out = []
+    orb = frozenset(images_by_products(G, a))
     for V in all_subspaces(G.ell, G.dim):
-        if not any(V.contains(p) for p in orbit(G, a)):
+        if not orb & _span_by_coefficients(V):
             continue
-        rep = verify_bound(G, a, V)
-        W = extremal_subspace(G, a, V)
-        out.append((V, W, stabilizer(G, W), rep.W, rep.stab_index, rep.witness_g))
+        rep = verify_bound_by_scan(G, a, V)
+        W = extremal_subspace_by_scan(G, a, V)
+        in_w = _span_by_coefficients(W)
+        keep = [True] * G.order
+        for row in W.basis:
+            keep = [k and p in in_w for k, p in zip(keep, images_by_products(G, row))]
+        stab = tuple(itertools.compress(G.elements, keep))
+        out.append((V, W, stab, rep.W, rep.stab_index, rep.witness_g))
     return out
 
 
-def test_table_and_product_paths_agree(monkeypatch):
-    from torsionlab import glorbits
-
+def test_table_and_product_paths_agree():
+    # the library's path (the generators' inverse permutations, preimages along
+    # the links, the shared witness walk) against products over the elements:
+    # stabilizer, extremal_subspace and verify_bound's W, index and witness_g
     instances = [(G, (1,) * G.dim) for G in _small_groups()]
     instances += [(generate_group(r["gens"], r["ell"], 3), tuple(r["a"]))
                   for r in _mid_group_requests()[:2]]
-    with_table = [_reports(G, a) for G, a in instances]
-    assert all(G._table for G, _ in instances)
-    monkeypatch.setattr(glorbits, "GROUP_TABLE_CAP", 0)
-    fresh = [(generate_group(G.generators, G.ell, G.dim), a) for G, a in instances]
-    assert [_reports(G, a) for G, a in fresh] == with_table
-    assert not any(G._table for G, _ in fresh)
+    for G, a in instances:
+        ref = generate_group(G.generators, G.ell, G.dim)
+        got = []
+        for V in all_subspaces(G.ell, G.dim):
+            if not orbit(G, a) & V.points():
+                continue
+            rep = verify_bound(G, a, V)
+            W = extremal_subspace(G, a, V)
+            got.append((V, W, stabilizer(G, W), rep.W, rep.stab_index, rep.witness_g))
+        assert got and got == _reports_by_products(ref, a), (G.generators, G.ell, a)
+        assert G._preimages and not ref._preimages
 
 
 # --- the per-orbit memo against the per-V lattice scan --------------------------------
@@ -526,12 +589,13 @@ def test_table_and_product_paths_agree(monkeypatch):
 
 def _equivalence_groups():
     """Generators of two random groups for every (ell, dim) of the benchmark's
-    GL shapes, then of the benchmark's two mid-sized groups (orders 480, 432)."""
+    GL shapes, of the small groups, and of the benchmark's mid-sized groups
+    (orders 480, 432) at seeds 0 and 1."""
     import random
 
     from torsionlab.selfcheck import _random_gl_generators
 
-    mid = {r["ell"]: r["gens"] for r in _mid_group_requests()}  # puts gen on sys.path
+    mid = [(r["gens"], r["ell"], 3) for r in _mid_group_requests()]  # puts gen on sys.path
     import gen
 
     rng = random.Random(13)
@@ -541,7 +605,7 @@ def _equivalence_groups():
             gens = _random_gl_generators(rng, ell, dim, rng.randrange(1, 3))
             if not isinstance(_closure_outcome(gens, ell, dim, 200), int):
                 out.append((gens, ell, dim))
-    return out + [(mid[5], 5, 3), (mid[3], 3, 3)]
+    return out + [(G.generators, G.ell, G.dim) for G in _small_groups()] + mid
 
 
 def _outcome(f, *args):

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    mat_mul as mat_mul_by_fractions,
     nullspace_by_fractions,
     primitive_rows,
     rref_by_fractions,
@@ -32,7 +31,6 @@ from torsionlab.linalg import (
     ceil_root_fraction,
     int_span_intersect,
     iroot,
-    mat_mul,
     nullspace,
     rank,
     rref,
@@ -127,42 +125,6 @@ def test_rref_idempotent_and_span_stable(rows):
     assert base1 == base2 and piv1 == piv2
     for r in rows:
         assert span_leq([r], base1)
-
-
-def _naive_product(a, b):
-    return tuple(
-        tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
-              for j in range(len(b[0])))
-        for i in range(len(a))
-    )
-
-
-_entries = st.one_of(st.just(Fraction(0)),
-                     st.fractions(min_value=-9, max_value=9, max_denominator=7))
-
-
-@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.data())
-def test_mat_mul_matches_the_triple_loop(n, k, m, data):
-    # entries are zero about half the time, so sparse rows and columns occur
-    a = tuple(tuple(data.draw(_entries) for _ in range(k)) for _ in range(n))
-    b = tuple(tuple(data.draw(_entries) for _ in range(m)) for _ in range(k))
-    prod = mat_mul(a, b)
-    assert prod == _naive_product(a, b)
-    assert all(type(x) is Fraction for row in prod for x in row)
-
-
-def test_mat_mul_on_matrix_units_and_dense_blocks():
-    import random
-
-    rng = random.Random(5)
-    n = 6
-    units = [tuple(tuple(Fraction(int((r, c) == (i, j))) for c in range(n)) for r in range(n))
-             for i in range(n) for j in range(n)]
-    dense = [tuple(tuple(Fraction(rng.randrange(-9, 10), rng.randrange(1, 5)) for _ in range(n))
-                   for _ in range(n)) for _ in range(4)]
-    for a in units + dense:
-        for b in units[::5] + dense:
-            assert mat_mul(a, b) == _naive_product(a, b)
 
 
 @settings(max_examples=150)
@@ -301,16 +263,6 @@ def test_nullspace_matches_the_fraction_reference(rows):
     kernel = nullspace(rows)
     assert kernel == nullspace_by_fractions(rows)
     assert all(type(x) is Fraction for v in kernel for x in v)
-
-
-@settings(max_examples=200)
-@given(st.integers(0, 4), st.integers(1, 4), st.integers(1, 4), st.data())
-def test_mat_mul_matches_the_fraction_reference(n, k, m, data):
-    a = tuple(tuple(data.draw(_q_entries) for _ in range(k)) for _ in range(n))
-    b = tuple(tuple(data.draw(_q_entries) for _ in range(m)) for _ in range(k))
-    prod = mat_mul(a, b)
-    assert prod == mat_mul_by_fractions(a, b)
-    assert all(type(x) is Fraction for row in prod for x in row)
 
 
 def _leibniz_det(m):
