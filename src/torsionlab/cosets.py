@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
+from operator import getitem
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
@@ -82,7 +83,7 @@ class ModelAmbient:
         return itertools.product(range(self.N), repeat=self.rank)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ModelSubvariety:
     """A direct summand of the ambient group isomorphic to (Z/N)^(2b).
 
@@ -120,23 +121,32 @@ class ModelSubvariety:
                 )
 
     @classmethod
-    def _from_catalog(cls, ambient: ModelAmbient, basis, pivots) -> "ModelSubvariety":
+    def _from_catalog(
+        cls, ambient: ModelAmbient, basis, pivots, verdicts=None
+    ) -> "ModelSubvariety":
         """A catalog summand, trusted to be reduced mod N and of even rank at
         most 2g.  Freeness is still checked: for each (p, columns) in
         ``pivots``, one pair per prime p | N, the basis reduced mod p must be
-        the identity on those columns."""
+        the identity on those columns, that is, its i-th row must reduce to
+        the unit vector e_i there.
+
+        ``verdicts`` memoizes that reduction per (row, p, columns): a catalog
+        build passes one memo for all its summands, so each row is reduced
+        once per prime and pivot set while the check itself still runs on
+        every basis.  Without it each row is reduced afresh."""
+        if verdicts is None:
+            verdicts = _Memo(_unit_verdicts)
         for p, cols in pivots:
-            if any(
-                row[j] % p != (i == k)
-                for i, row in enumerate(basis)
-                for k, j in enumerate(cols)
-            ):
-                raise InternalCheckError(
-                    "catalog basis %s is not free mod %d" % (basis, p)
-                )
+            units = verdicts[p, cols]
+            for i, row in enumerate(basis):
+                if units[row] != i:
+                    raise InternalCheckError(
+                        "catalog basis %s is not free mod %d" % (basis, p)
+                    )
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "_colmap", ())  # a slot has no class default
         return self
 
     @property
@@ -267,8 +277,97 @@ def degree_pushforward(deg_v: int, dim_v: int, stab_torsion: int, q: int) -> int
 #: enumerate_summands and summands_within
 _CATALOGS: dict = {}
 
+#: no summand catalog larger than this is built; its size is counted first.
+#: The largest catalog an answered input needs, rank 2 of (Z/5)^6, holds
+#: 508 431 summands; rank 4 of (Z/2)^10 holds 53.7M and of (Z/3)^8 75.9M.
+CATALOG_SIZE_CAP = 1 << 20
 
-def _catalog(ambient: ModelAmbient, rank: int, cap: int):
+
+class _Memo(dict):
+    """A dict that fills a missing key with ``fn(key)`` on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _unit_verdicts(key) -> _Memo:
+    """For key = (p, cols): row -> i when the row reduced mod p is the unit
+    vector e_i on the columns ``cols``, else -1."""
+    p, cols = key
+
+    def verdict(row) -> int:
+        residues = [row[j] % p for j in cols]
+        if residues.count(1) == 1 and residues.count(0) == len(cols) - 1:
+            return residues.index(1)
+        return -1
+
+    return _Memo(verdict)
+
+
+def catalog_size(N: int, n: int, r: int) -> int:
+    """Number of free rank-r direct summands of (Z/N)^n (0 <= r <= n): the
+    product over p^e || N of the Gaussian binomial [n r]_p times
+    p^((e-1) r (n-r)).  N = 1 counts the zero summand alone."""
+    return _summand_count(factorize(N).factors, n, r)
+
+
+def _summand_count(fact, n: int, r: int) -> int:
+    out = 1
+    for p, e in fact:
+        num = den = 1
+        for i in range(r):
+            num *= p ** (n - i) - 1
+            den *= p ** (i + 1) - 1
+        out *= num // den * p ** ((e - 1) * r * (n - r))
+    return out
+
+
+def _scaled_bases(N: int, p: int, e: int, n: int, rank: int):
+    """(((p, pivots),), basis) for each canonical basis of the prime power
+    q = p^e, its rows scaled by the CRT idempotent e_q (1 mod q, 0 mod N/q),
+    so that a combined basis is the elementwise sum mod N of its per-prime
+    bases.  Each distinct row is scaled once and held as one object."""
+    q = p ** e
+    e_q = N // q * pow(N // q, -1, q) % N
+    held = _Memo(lambda row: tuple([e_q * x % N for x in row]))
+    for pivots, basis in _free_summand_bases_prime_power(q, p, n, rank):
+        yield ((p, pivots),), tuple(map(held.__getitem__, basis))
+
+
+def _crt_sums(left, right: list, N: int):
+    """Every pair of a ``left`` basis and a ``right`` basis, left outermost,
+    combined row by row.  The sum of two rows is built on the pair's first
+    use and shared from then on; distinct pairs have distinct sums (CRT), so
+    no row value is held twice."""
+    sums = _Memo(lambda a: _Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
+    for pivots_a, basis_a in left:
+        row_sums = [sums[a] for a in basis_a]
+        for pivots_b, basis_b in right:
+            yield pivots_a + pivots_b, tuple(map(getitem, row_sums, basis_b))
+
+
+def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
+    """The rank-``rank`` catalog and its index, from the memo or built.
+
+    An ambient over ``cap`` is refused first, so a smaller cap refuses a
+    cached catalog.  A catalog not built yet is refused if its rank is
+    invalid, or if it or any catalog of a rank in ``reads`` (the others the
+    caller goes on to read) holds more than ``CATALOG_SIZE_CAP`` summands by
+    the closed form, so that a refused call builds nothing.
+
+    A positive-rank catalog is the product of the per-prime catalogs, first
+    prime outermost.  Every basis row is held once per build: per-prime rows
+    are scaled once (``_scaled_bases``), and each CRT sum of a pair of
+    per-prime rows is built once (``_crt_sums``); a prime power N takes its
+    scaled bases as they are, with no CRT step.  ``_from_catalog`` checks
+    every combined basis mod every p | N, reading one verdict memo per build.
+    """
     if ambient.order > cap:
         raise CapExceededError(
             "subgroup enumeration beyond ambient cap %d" % cap, required=ambient.order
@@ -278,32 +377,28 @@ def _catalog(ambient: ModelAmbient, rank: int, cap: int):
         return _CATALOGS[key]
     if rank % 2 != 0 or rank > ambient.rank:
         raise ValidationError("summand rank must be even and at most 2g")
-    fact = factorize(ambient.N).factors
+    N = ambient.N
+    fact = factorize(N).factors
+    for r in (rank, *reads):
+        size = _summand_count(fact, ambient.rank, r)
+        if size > CATALOG_SIZE_CAP:
+            raise CapExceededError(
+                "catalog of rank-%d summands of (Z/%d)^%d holds %d summands, beyond cap %d"
+                % (r, N, ambient.rank, size, CATALOG_SIZE_CAP),
+                required=size,
+            )
     result = []
     if rank == 0:
         result.append(ModelSubvariety(ambient, tuple()))
     elif fact:  # N = 1 is the trivial group: no summand of positive rank
-        # per prime power q: (p, pivots) and the canonical bases scaled by the
-        # CRT idempotent e_q (1 mod q, 0 mod the other prime powers of N), so
-        # that a combined basis is the elementwise sum mod N
-        N = ambient.N
-        per_prime = []
-        for p, e in fact:
-            q = p ** e
-            e_q = N // q * pow(N // q, -1, q) % N
-            per_prime.append([
-                ((p, pivots), tuple(tuple(e_q * x for x in row) for row in basis))
-                for pivots, basis in _free_summand_bases_prime_power(q, p, ambient.rank, rank)
-            ])
-        for parts in itertools.product(*per_prime):
-            pivots, bases = zip(*parts)
-            if len(bases) == 1:  # N = q, e_q = 1: nothing to combine
-                basis = bases[0]
-            else:
-                basis = tuple(
-                    tuple([sum(xs) % N for xs in zip(*rows)]) for rows in zip(*bases)
-                )
-            result.append(ModelSubvariety._from_catalog(ambient, basis, pivots))
+        bases, *rest = [_scaled_bases(N, p, e, ambient.rank, rank) for p, e in fact]
+        for part in rest:
+            bases = _crt_sums(bases, list(part), N)
+        verdicts = _Memo(_unit_verdicts)
+        result = [
+            ModelSubvariety._from_catalog(ambient, basis, pivots, verdicts)
+            for pivots, basis in bases
+        ]
     index: dict[Vector, list[ModelSubvariety]] = {}
     for B in result:
         index.setdefault(B.basis[0] if B.basis else (), []).append(B)
@@ -321,7 +416,8 @@ def enumerate_summands(
     leads (the zero summand sits under the key ``()``); ``summands_within``
     answers from the index instead of scanning the catalog.  The cap is
     checked before the cache, so a smaller cap refuses a catalog an earlier
-    call built.
+    call built.  A catalog of more than ``CATALOG_SIZE_CAP`` summands, counted
+    by ``catalog_size``, is refused before it is built.
     """
     return _catalog(ambient, rank, cap)[0]
 
@@ -336,10 +432,12 @@ def summands_within(ambient: ModelAmbient, allowed, cap: int = AMBIENT_ORDER_CAP
 
     The same summands as filtering ``all_summands`` by
     ``all(v in allowed for v in B.basis)``, zero summand included, but
-    looked up by leading basis vector; the order is not the catalog's.
+    looked up by leading basis vector; the order is not the catalog's.  Every
+    rank's catalog is checked against the caps before the first is built.
     """
-    for rank in range(0, ambient.rank + 1, 2):
-        index = _catalog(ambient, rank, cap)[1]
+    ranks = range(0, ambient.rank + 1, 2)
+    for rank in ranks:
+        index = _catalog(ambient, rank, cap, ranks)[1]
         if rank == 0:
             yield from index[()]
             continue

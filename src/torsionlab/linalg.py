@@ -174,24 +174,22 @@ def free_summand_bases(q: int, p: int, n: int, r: int):
     Each summand appears exactly once: count per pivot set multiplies out to
     the Gaussian binomial times p^((e-1) r (n-r)).  With q = p these are the
     reduced echelon bases of the r-dimensional subspaces of F_p^n.
+
+    Each row ranges over its choices independently of the others, so the
+    rows of a pivot set are built once and its bases are tuples of them,
+    in the lexicographic order of their free entries.
     """
     for pivots in itertools.combinations(range(n), r):
-        free_slots = []
-        for i in range(r):
-            for j in range(n):
-                if j in pivots:
-                    continue
-                if j > pivots[i]:
-                    free_slots.append((i, j, tuple(range(q))))
-                else:
-                    free_slots.append((i, j, tuple(range(0, q, p))))
-        for values in itertools.product(*(vals for _, _, vals in free_slots)):
-            rows = [[0] * n for _ in range(r)]
-            for i in range(r):
-                rows[i][pivots[i]] = 1
-            for (i, j, _), val in zip(free_slots, values):
-                rows[i][j] = val
-            yield pivots, tuple(tuple(row) for row in rows)
+        rows = [
+            list(itertools.product(*(
+                (1,) if j == c else (0,) if j in pivots
+                else range(q) if j > c else range(0, q, p)
+                for j in range(n)
+            )))
+            for c in pivots
+        ]
+        for basis in itertools.product(*rows):
+            yield pivots, basis
 
 
 def _kernel(base, pivots, ncols: int):

@@ -422,6 +422,49 @@ def test_lang_orbit_of_huge_order_fails_fast():
     ]
 
 
+def _point(n):
+    return ",".join(["1"] + ["0"] * (n - 1))
+
+
+@pytest.mark.parametrize("argv, rank, ambient, size", [
+    (["special-closure", "--N", "2", "--g", "5", "--points", _point(10), "--c", "1"],
+     4, "(Z/2)^10", 53743987),
+    (["special-closure", "--N", "3", "--g", "4", "--points", _point(8), "--c", "1"],
+     4, "(Z/3)^8", 75913222),
+    (["special-closure", "--N", "2", "--g", "6", "--points", _point(12), "--c", "1"],
+     2, "(Z/2)^12", 2794155),
+    (["keyprop-witness", "--N", "2", "--g", "5", "--set", _point(10), "--a", _point(10),
+      "--c", "1", "--delta-cap", "5"],
+     4, "(Z/2)^10", 53743987),
+], ids=["special-closure-2-5", "special-closure-3-4", "special-closure-2-6",
+        "keyprop-witness-2-5"])
+def test_catalog_past_its_size_cap_is_refused_before_it_is_built(argv, rank, ambient, size):
+    # each was killed at 10 CPU s under 1 GiB while it built its catalogs; the
+    # refusal counts them by their closed form (0.2 CPU s on a 2-vCPU VM)
+    proc = _limited_child(argv)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: cap-exceeded: catalog of rank-%d summands of %s holds %d summands, "
+        "beyond cap 1048576 (required %d)" % (rank, ambient, size, size)
+    ]
+
+
+@pytest.mark.parametrize("N, g, stdout", [
+    (4, 3, '{"N":4,"c":1,"component_count":1,"components":[{"N":4,"basis":[],"g":3,'
+           '"order":4,"point":[1,0,0,0,0,0]}],"g":3,"total_points":2}\n'),
+    (2, 4, '{"N":2,"c":1,"component_count":1,"components":[{"N":2,"basis":[],"g":4,'
+           '"order":2,"point":[1,0,0,0,0,0,0,0]}],"g":4,"total_points":1}\n'),
+], ids=["4-3", "2-4"])
+def test_largest_catalogs_under_the_size_cap_still_answer(N, g, stdout):
+    # the largest ranks hold 166 656 and 200 787 summands; 2.0 and 1.6 CPU s
+    # on a 2-vCPU VM (5.5 and 4.8 s when every summand built its own rows)
+    proc = subprocess.run(
+        [sys.executable, "-m", "torsionlab", "special-closure", "--N", str(N), "--g", str(g),
+         "--points", _point(2 * g), "--c", "1"],
+        capture_output=True, text=True, timeout=120, env=child_env())
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+
 def test_jacobsthal_search_past_its_cap_fails_fast():
     # the primorial of the first 12 primes; the refusal took 2.0 CPU s on a
     # 2-vCPU VM, interpreter start-up included

@@ -464,13 +464,26 @@ def test_catalog_build_runs_no_smith_normal_form(monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("N", [4, 12])
-def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N):
+@pytest.mark.parametrize("N, bad_p, which", [
+    pytest.param(4, 2, 7, id="4"),
+    pytest.param(12, 2, 7, id="12"),
+    pytest.param(12, 3, 7, id="12-p3"),
+    pytest.param(4, 2, -1, id="4-last"),
+    pytest.param(12, 2, -1, id="12-last"),
+    pytest.param(12, 3, -1, id="12-p3-last"),
+])
+def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N, bad_p, which):
+    """One per-prime basis (the eighth or the last of prime ``bad_p``) has a
+    pivot that vanishes mod p, and every other basis is valid: the check
+    raises only if it judges the combined rows of that basis mod ``bad_p``
+    on its own pivot columns, whichever prime comes first and however late
+    the bad basis is reached."""
     real = cst._free_summand_bases_prime_power
 
     def corrupted(q, p, n, r):
-        for i, (pivots, basis) in enumerate(real(q, p, n, r)):
-            if i == 7 and p == 2:
+        bases = list(real(q, p, n, r))
+        for i, (pivots, basis) in enumerate(bases):
+            if p == bad_p and i == which % len(bases):
                 rows = [list(row) for row in basis]
                 rows[0][pivots[0]] = p  # the pivot vanishes mod p
                 basis = tuple(map(tuple, rows))
@@ -478,7 +491,7 @@ def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N):
 
     monkeypatch.setattr(cst, "_free_summand_bases_prime_power", corrupted)
     monkeypatch.setattr(cst, "_CATALOGS", {})
-    with pytest.raises(InternalCheckError, match="not free mod 2"):
+    with pytest.raises(InternalCheckError, match="not free mod %d" % bad_p):
         enumerate_summands(ModelAmbient(N, 2), 2)
 
 
@@ -488,3 +501,87 @@ def test_trusted_constructor_rejects_a_non_summand():
         ModelSubvariety._from_catalog(amb, ((1, 0), (0, 2)), [(2, (0, 1))])
     B = ModelSubvariety._from_catalog(amb, ((1, 0), (2, 1)), [(2, (0, 1))])
     assert B == ModelSubvariety(amb, ((1, 0), (2, 1)))
+
+
+# sha256 of every catalog's bases, rank by rank in catalog order, one
+# ``repr(basis)`` line per summand; computed when each summand built its own
+# rows, so they pin contents and order across changes to the build
+CATALOG_DIGESTS = {
+    (3, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (4, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (6, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (12, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (3, 2): "c2729e94eb66b2f4f1623825d54d993c5dbfb429a528853a300719e607610867",
+    (4, 2): "cdd030e53296723153cf5b407cd0bb0dcc2c80cea9c660ee01c4c9435a21e516",
+    (6, 2): "9ddca7709be576a7bb8628dee69158f1e57ece1fbd026b753c30aaad8c0d1ff0",
+    (8, 2): "3227cdbda3903831d8792ac97a86236a60abbf4aa3f55874dbea8a7159833ba7",
+    (12, 2): "1ad1c5fe9acff8a73eaeb456a0df8f29af80bfebcb731739eab57408557b50a7",
+    (2, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (2, 2): "6f6200c0f4ddf892dcad9ee9213faa581a5c978670af1ba91c39ebf29cd35ac7",
+    (5, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (5, 2): "592b97cc4e66318ef9e944adb87bd0785b8a00036654a2c32b67a00bfca90269",
+    (9, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (9, 2): "32bb94cb8a35638d9394dc8c25bfef8368a7964a2e9d5fbacb04674f9344da27",
+    (10, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+    (10, 2): "8e8258b8c72d42690aa566c8fe2b18411c0b79b331c1f65584c2d40a258484a7",
+}
+
+
+@pytest.mark.parametrize("N, g", MODEL_AMBIENTS + EXTRA_AMBIENTS)
+def test_catalog_digest_is_pinned(N, g):
+    import hashlib
+
+    h = hashlib.sha256()
+    for B in all_summands(ModelAmbient(N, g)):
+        h.update(repr(B.basis).encode() + b"\n")
+    assert h.hexdigest() == CATALOG_DIGESTS[N, g]
+
+
+@pytest.mark.parametrize("N, g", MODEL_AMBIENTS + EXTRA_AMBIENTS)
+def test_catalog_holds_each_row_once(N, g):
+    """A catalog shares its row objects: as many as distinct row values, and
+    never more than the N^(2g) points (72 800 summands of (Z/12)^4 built
+    145 600 rows when each summand built its own)."""
+    amb = ModelAmbient(N, g)
+    for rank in range(0, amb.rank + 1, 2):
+        rows = [row for B in enumerate_summands(amb, rank) for row in B.basis]
+        assert len({id(row) for row in rows}) == len(set(rows)) <= amb.order
+
+
+def test_catalog_size_matches_the_closed_form():
+    for N in range(1, 31):
+        for n in range(1, 7):
+            for r in range(n + 1):
+                assert cst.catalog_size(N, n, r) == _catalog_size(N, n, r)
+
+
+@pytest.mark.parametrize("N, g, rank, size", [(2, 5, 4, 53743987), (3, 4, 4, 75913222),
+                                              (2, 6, 2, 2794155)])
+def test_catalog_past_the_size_cap_is_refused_before_anything_is_built(
+        monkeypatch, N, g, rank, size):
+    def no_build(*args):
+        raise AssertionError("a refused catalog must not be enumerated")
+
+    monkeypatch.setattr(cst, "_free_summand_bases_prime_power", no_build)
+    monkeypatch.setattr(cst, "_CATALOGS", {})
+    amb = ModelAmbient(N, g)
+    assert cst.catalog_size(N, amb.rank, rank) == size > cst.CATALOG_SIZE_CAP
+    with pytest.raises(CapExceededError) as exc:
+        enumerate_summands(amb, rank)
+    assert exc.value.required == size
+    # summands_within checks every rank before it builds the first
+    with pytest.raises(CapExceededError) as exc:
+        next(summands_within(amb, {amb.zero()}))
+    assert exc.value.required == size and cst._CATALOGS == {}
+    point = (1,) + (0,) * (amb.rank - 1)
+    with pytest.raises(CapExceededError):
+        special_closure(amb, [point], 1)
+    with pytest.raises(CapExceededError):
+        keyprop_witness(amb, lang_orbit(amb, point, 1), point, 1, 5)
+    assert cst._CATALOGS == {}
+
+
+def test_size_cap_admits_the_largest_answered_catalog():
+    # rank 2 of (Z/5)^6 is the largest catalog an answered input reads
+    assert cst.catalog_size(5, 6, 2) == 508431 <= cst.CATALOG_SIZE_CAP
+    assert cst.catalog_size(4, 6, 2) == 166656 and cst.catalog_size(2, 8, 4) == 200787
