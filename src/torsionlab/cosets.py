@@ -427,16 +427,18 @@ def all_summands(ambient: ModelAmbient, cap: int = AMBIENT_ORDER_CAP):
         yield from enumerate_summands(ambient, rank, cap)
 
 
-def summands_within(ambient: ModelAmbient, allowed, cap: int = AMBIENT_ORDER_CAP):
-    """Every summand whose basis vectors all lie in the set ``allowed``.
-
-    The same summands as filtering ``all_summands`` by
-    ``all(v in allowed for v in B.basis)``, zero summand included, but
-    looked up by leading basis vector; the order is not the catalog's.  Every
-    rank's catalog is checked against the caps before the first is built.
+def summands_within(ambient: ModelAmbient, allowed, max_order: int, cap: int = AMBIENT_ORDER_CAP):
+    """Every summand of order at most ``max_order`` whose basis vectors all
+    lie in the set ``allowed``: ``all_summands`` filtered by order and basis,
+    zero summand included, but looked up by leading basis vector, so the
+    order is not the catalog's.  No catalog of a rank r with N^r above
+    ``max_order`` is built; the first one built counts every rank against
+    the caps, so a refusal does not depend on ``max_order``.
     """
     ranks = range(0, ambient.rank + 1, 2)
     for rank in ranks:
+        if ambient.N ** rank > max_order:
+            return
         index = _catalog(ambient, rank, cap, ranks)[1]
         if rank == 0:
             yield from index[()]
@@ -466,6 +468,34 @@ def block_points(
     )
 
 
+def _stable_blocks(ambient: ModelAmbient, inside, orbits, cap: int):
+    """(rep, B, block) for each stable block orbit(alpha) + B inside the set
+    ``inside``, where ``orbits`` maps each candidate alpha to its orbit: per
+    summand B that can fit, the alphas in ascending order, one per coset of B
+    and only where alpha + B lies inside; rep is the least point of alpha + B.
+    B's points are built once, and each coset once for all the blocks it is in.
+    """
+    allowed = {ambient.add(x, minus) for minus in map(ambient.neg, orbits) for x in inside}
+    for B in summands_within(ambient, allowed, len(inside), cap):
+        sub = B.elements(cap)
+        cosets: dict[Vector, frozenset[Vector]] = {}  # point -> its coset of B
+
+        def coset(x):
+            if x not in cosets:
+                pts = frozenset([ambient.add(x, b) for b in sub])
+                cosets.update(dict.fromkeys(pts, pts))
+            return cosets[x]
+
+        seen = set()
+        for alpha in sorted(orbits):
+            pts = coset(alpha)
+            if pts <= inside and pts not in seen:
+                seen.add(pts)
+                block = frozenset().union(*map(coset, orbits[alpha]))
+                if block <= inside:
+                    yield min(pts), B, block
+
+
 def special_closure(
     ambient: ModelAmbient, S, c: int, cap: int = AMBIENT_ORDER_CAP
 ) -> list[TorsionCoset]:
@@ -474,8 +504,9 @@ def special_closure(
     Any stable union containing a point s contains the whole orbit of s, so
     the minimal point set is forced: the union A of the orbits of S.  Among
     representations of A the component count is minimized by an exact
-    set-cover search over the summand catalog (blocks fully inside A),
-    iterative deepening with lexicographic tie-breaking.
+    set-cover search over the stable blocks inside A (``_stable_blocks``;
+    a block reached from several summands keeps the largest, then the least
+    basis), iterative deepening with lexicographic tie-breaking.
     """
     if ambient.order > cap:
         raise CapExceededError(
@@ -484,50 +515,30 @@ def special_closure(
     pts = [ambient.reduce(s) for s in S]
     if not pts:
         return []
-    covered = set()
-    atoms = []
+    atom_of: dict[Vector, frozenset[Vector]] = {}  # target point -> its orbit
     for s in pts:
-        if s in covered:
-            continue
-        orb = lang_orbit(ambient, s, c, cap)
-        covered |= orb
-        atoms.append(frozenset(orb))
-    target = frozenset(covered)
+        if s not in atom_of:
+            orb = lang_orbit(ambient, s, c, cap)
+            atom_of.update(dict.fromkeys(orb, orb))
+    target = frozenset(atom_of)
 
     if len(target) == ambient.order:
         full = enumerate_summands(ambient, ambient.rank, cap)[0]
         return [TorsionCoset(ambient.zero(), full)]
 
-    # candidate blocks fully inside the target, deduplicated by point set;
-    # cheap necessary condition first: basis vectors are differences of
-    # target points
-    diff_set = {ambient.add(x, ambient.neg(y)) for x in target for y in target}
+    # candidate blocks fully inside the target, deduplicated by point set
     blocks: dict[frozenset, tuple[Vector, ModelSubvariety]] = {}
-    for B in summands_within(ambient, diff_set, cap):
-        if B.order > len(target):
-            continue
-        sub = B.elements(cap)
-        seen_reps = set()
-        for alpha in sorted(target):
-            rep = min(ambient.add(alpha, b) for b in sub)
-            if rep in seen_reps:
-                continue
-            seen_reps.add(rep)
-            if any(ambient.add(alpha, b) not in target for b in sub):
-                continue
-            block = block_points(ambient, alpha, B, c, cap)
-            if block <= target:
-                prev = blocks.get(block)
-                cand = (rep, B)
-                if prev is None or _block_pref(cand, prev):
-                    blocks[block] = cand
+    for rep, B, block in _stable_blocks(ambient, target, atom_of, cap):
+        prev = blocks.get(block)
+        if prev is None or (-B.order, B.basis) < (-prev[1].order, prev[1].basis):
+            blocks[block] = (rep, B)
     choices = sorted(
         blocks.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0]))
     )
 
     # minimal number of components: exact cover over the orbit atoms by
     # iterative deepening; candidate order makes the result deterministic
-    atom_sets = sorted(atoms, key=lambda a: min(a))
+    atom_sets = sorted(set(atom_of.values()), key=min)
 
     def search(uncovered, budget, acc):
         if not uncovered:
@@ -558,13 +569,6 @@ def special_closure(
     return out
 
 
-def _block_pref(cand, prev) -> bool:
-    """Prefer the larger subgroup, then the lexicographically smaller basis."""
-    _, bc = cand
-    _, bp = prev
-    return (-bc.order, bc.basis) < (-bp.order, bp.basis)
-
-
 @dataclass(frozen=True)
 class WitnessReport:
     alpha: Vector
@@ -584,33 +588,27 @@ def keyprop_witness(
     """Minimal-order stable coset sandwiched between the orbit of a and V.
 
     Any candidate block containing a equals orbit(a) + B, so the search runs
-    over summands B only; ties on coset order prefer the larger subgroup,
-    then the lexicographically least canonical basis.
+    over the stable blocks inside V with alpha = a alone (``_stable_blocks``);
+    ties on coset order prefer the larger subgroup, then the lexicographically
+    least canonical basis.
     """
     V_set = {ambient.reduce(v) for v in V}
     a = ambient.reduce(a)
     orbit = lang_orbit(ambient, a, c, cap)
     if not orbit <= V_set:
         raise ValidationError("precondition failed: the orbit of a is not inside V")
-    best = None
-    shifted = {ambient.add(v, ambient.neg(a)) for v in V_set}
-    for B in summands_within(ambient, shifted, cap):
-        block = block_points(ambient, a, B, c, cap)
-        if not block <= V_set:
-            continue
-        order = coset_order_raw(a, B)
-        key = (order, -B.order, B.basis)
-        if best is None or key < best[0]:
-            best = (key, B)
+    best = min(
+        (((coset_order_raw(a, B), -B.order, B.basis), B)
+         for _, B, _ in _stable_blocks(ambient, V_set, {a: orbit}, cap)),
+        default=None,
+    )
     if best is None:
         raise InternalCheckError("B = 0 is always a valid candidate")
     (order, _, _), B = best
     # a representative of ambient order exactly ord(a+B) always exists:
     # project a onto a complement of the summand B
     coset_pts = sorted(ambient.add(a, b) for b in B.elements(cap))
-    alpha = next(
-        (p for p in coset_pts if ambient.element_order(p) == order), None
-    )
+    alpha = next((p for p in coset_pts if ambient.element_order(p) == order), None)
     if alpha is None:
         raise InternalCheckError("coset has no representative of its own order")
     return WitnessReport(alpha=alpha, subgroup=B, order=order, within_cap=order <= delta_cap)

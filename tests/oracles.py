@@ -4,7 +4,8 @@ These deliberately recompute everything from definitions with different
 algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
 meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's,
-the group closure's and the orbit-density report's references are the library's earlier, direct algorithms
+the group closure's, the orbit-density report's and the torsion-coset closure's and witness's
+references are the library's earlier, direct algorithms
 instead, and so are the Fraction references of the rational kernels and of
 algebra element arithmetic.
 """
@@ -27,6 +28,7 @@ from torsionlab.bounds import (
     exponent_constants,
 )
 from torsionlab.algebras import SplitSemisimpleAlgebra
+from torsionlab.cosets import TorsionCoset, WitnessReport, enumerate_summands, lang_orbit
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.glorbits import (
     GROUP_SIZE_CAP,
@@ -675,3 +677,100 @@ def verify_bound_by_scan(G, a, V, C=None):
         orbit=orb, V=V, C=C, W=W, epsilon_V=eps_v, epsilon_W=eps_w, stab_index=index,
         bound=bound, bound_ok=ok, witness_g=witness, stabilizer_order=stab_order,
     )
+
+
+# --- torsion-coset closure and witness by a scan per (B, alpha) -------------------
+
+
+def _summands_by_scan(amb, allowed, max_order):
+    """``all_summands`` filtered by order and basis; the catalog of a rank
+    whose summands are all larger than ``max_order`` is never built."""
+    for rank in range(0, amb.rank + 1, 2):
+        if amb.N ** rank > max_order:
+            return
+        for B in enumerate_summands(amb, rank):
+            if all(v in allowed for v in B.basis):
+                yield B
+
+
+def _block_by_scan(amb, alpha, B, c):
+    sub = B.elements()
+    return frozenset(amb.add(o, b) for o in lang_orbit(amb, alpha, c) for b in sub)
+
+
+def special_closure_by_scan(amb, S, c):
+    """``special_closure`` with its candidate blocks found by a scan: for every
+    summand B whose basis lies in the difference set of the target, every
+    alpha of the target in ascending order, one per coset of B (keyed by the
+    coset's least point), its block built afresh from ``lang_orbit``."""
+    pts = [amb.reduce(s) for s in S]
+    if not pts:
+        return []
+    covered, atoms = set(), []
+    for s in pts:
+        if s not in covered:
+            orb = lang_orbit(amb, s, c)
+            covered |= orb
+            atoms.append(frozenset(orb))
+    target = frozenset(covered)
+    if len(target) == amb.order:
+        return [TorsionCoset(amb.zero(), enumerate_summands(amb, amb.rank)[0])]
+    diff_set = {amb.add(x, minus) for minus in map(amb.neg, target) for x in target}
+    blocks = {}
+    for B in _summands_by_scan(amb, diff_set, len(target)):
+        sub = B.elements()
+        seen_reps = set()
+        for alpha in sorted(target):
+            rep = min(amb.add(alpha, b) for b in sub)
+            if rep in seen_reps:
+                continue
+            seen_reps.add(rep)
+            if any(amb.add(alpha, b) not in target for b in sub):
+                continue
+            block = _block_by_scan(amb, alpha, B, c)
+            if block <= target:
+                prev = blocks.get(block)
+                if prev is None or (-B.order, B.basis) < (-prev[1].order, prev[1].basis):
+                    blocks[block] = (rep, B)
+    choices = sorted(blocks.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0])))
+
+    def search(uncovered, budget, acc):
+        if not uncovered:
+            return acc
+        if budget == 0:
+            return None
+        first = min(min(a) for a in uncovered)
+        for block_pts, (rep, B) in choices:
+            if first in block_pts:
+                rest = [a for a in uncovered if not a <= block_pts]
+                if len(rest) < len(uncovered):
+                    got = search(rest, budget - 1, acc + [(rep, B)])
+                    if got is not None:
+                        return got
+        return None
+
+    atom_sets = sorted(atoms, key=min)
+    solution = next(filter(None, (search(atom_sets, k, []) for k in range(1, len(atoms) + 1))))
+    return sorted((TorsionCoset(rep, B) for rep, B in solution),
+                  key=lambda tc: (tc.point, tc.subgroup.basis))
+
+
+def keyprop_witness_by_scan(amb, V, a, c, delta_cap):
+    """``keyprop_witness`` by a scan: every summand whose basis lies in V - a,
+    its block orbit(a) + B built afresh from ``lang_orbit``; the least key
+    (coset order, -|B|, basis) wins, and alpha is the least point of a + B of
+    that order."""
+    V_set = {amb.reduce(v) for v in V}
+    a = amb.reduce(a)
+    if not lang_orbit(amb, a, c) <= V_set:
+        raise ValidationError("precondition failed: the orbit of a is not inside V")
+    shifted = {amb.add(v, amb.neg(a)) for v in V_set}
+    best = None
+    for B in _summands_by_scan(amb, shifted, len(V_set)):
+        if _block_by_scan(amb, a, B, c) <= V_set:
+            key = (TorsionCoset(a, B).order, -B.order, B.basis)
+            if best is None or key < best[0]:
+                best = (key, B)
+    (order, _, _), B = best
+    alpha = min(p for p in (amb.add(a, b) for b in B.elements()) if amb.element_order(p) == order)
+    return WitnessReport(alpha=alpha, subgroup=B, order=order, within_cap=order <= delta_cap)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -449,20 +450,51 @@ def test_catalog_past_its_size_cap_is_refused_before_it_is_built(argv, rank, amb
     ]
 
 
-@pytest.mark.parametrize("N, g, stdout", [
-    (4, 3, '{"N":4,"c":1,"component_count":1,"components":[{"N":4,"basis":[],"g":3,'
-           '"order":4,"point":[1,0,0,0,0,0]}],"g":3,"total_points":2}\n'),
-    (2, 4, '{"N":2,"c":1,"component_count":1,"components":[{"N":2,"basis":[],"g":4,'
-           '"order":2,"point":[1,0,0,0,0,0,0,0]}],"g":4,"total_points":1}\n'),
-], ids=["4-3", "2-4"])
-def test_largest_catalogs_under_the_size_cap_still_answer(N, g, stdout):
-    # the largest ranks hold 166 656 and 200 787 summands; 2.0 and 1.6 CPU s
-    # on a 2-vCPU VM (5.5 and 4.8 s when every summand built its own rows)
+# the 16 points after 0 in product order: (0,0,0,0,0,1) ... (0,0,0,1,0,0)
+_SIXTEEN = ";".join(",".join(map(str, p))
+                    for p in list(itertools.product(range(4), repeat=6))[1:17])
+
+
+@pytest.mark.parametrize("N, g, points, stdout", [
+    (4, 3, _point(6),
+     '{"N":4,"c":1,"component_count":1,"components":[{"N":4,"basis":[],"g":3,'
+     '"order":4,"point":[1,0,0,0,0,0]}],"g":3,"total_points":2}\n'),
+    (2, 4, _point(8),
+     '{"N":2,"c":1,"component_count":1,"components":[{"N":2,"basis":[],"g":4,'
+     '"order":2,"point":[1,0,0,0,0,0,0,0]}],"g":4,"total_points":1}\n'),
+    (4, 3, _SIXTEEN,
+     '{"N":4,"c":1,"component_count":10,"components":['
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,0,1]},'
+     '{"N":4,"basis":[],"g":3,"order":2,"point":[0,0,0,0,0,2]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,1,0]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,1,1]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,1,2]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,1,3]},'
+     '{"N":4,"basis":[],"g":3,"order":2,"point":[0,0,0,0,2,0]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,0,2,1]},'
+     '{"N":4,"basis":[],"g":3,"order":2,"point":[0,0,0,0,2,2]},'
+     '{"N":4,"basis":[],"g":3,"order":4,"point":[0,0,0,1,0,0]}'
+     '],"g":3,"total_points":17}\n'),
+], ids=["4-3", "2-4", "4-3-sixteen-points"])
+def test_largest_catalogs_under_the_size_cap_still_answer(N, g, points, stdout):
+    # one point reads the zero summand alone; the sixteen points make a
+    # 17-point target, so the 16-point summands of rank 2 (166 656 of them)
+    # are read: 1.0 CPU s on a 2-vCPU VM, 2.0 s when every rank was built
     proc = subprocess.run(
         [sys.executable, "-m", "torsionlab", "special-closure", "--N", str(N), "--g", str(g),
-         "--points", _point(2 * g), "--c", "1"],
+         "--points", points, "--c", "1"],
         capture_output=True, text=True, timeout=120, env=child_env())
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+
+
+def test_one_point_closure_builds_no_catalog_it_cannot_use():
+    # ranks 2 and 4 of (Z/5)^6 hold 508 431 summands each, and no coset of
+    # one fits in a 4-point orbit; building them took 4.6-6.5 CPU s and 166 MB
+    proc = _limited_child(["special-closure", "--N", "5", "--g", "3", "--points", _point(6),
+                           "--c", "1"])
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", (
+        '{"N":5,"c":1,"component_count":1,"components":[{"N":5,"basis":[],"g":3,'
+        '"order":5,"point":[1,0,0,0,0,0]}],"g":3,"total_points":4}\n'))
 
 
 def test_jacobsthal_search_past_its_cap_fails_fast():

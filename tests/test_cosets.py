@@ -197,7 +197,7 @@ def test_summand_cap_checked_before_cache():
         enumerate_summands(amb, 2, cap=8)
     assert exc.value.required == 9
     with pytest.raises(CapExceededError):
-        list(summands_within(amb, {(1, 0), (0, 1)}, cap=8))
+        list(summands_within(amb, {(1, 0), (0, 1)}, amb.order, cap=8))
     assert len(enumerate_summands(amb, 2, cap=9)) == 1
 
 
@@ -208,8 +208,9 @@ INDEX_AMBIENTS = sorted({
 })
 
 
-def _brute_force_within(amb, allowed):
-    return [B for B in all_summands(amb) if all(v in allowed for v in B.basis)]
+def _brute_force_within(amb, allowed, max_order):
+    return [B for B in all_summands(amb)
+            if B.order <= max_order and all(v in allowed for v in B.basis)]
 
 
 def _allowed_sets(amb, rng):
@@ -229,15 +230,22 @@ def _allowed_sets(amb, rng):
     return out
 
 
-@pytest.mark.parametrize("N, g", INDEX_AMBIENTS)
-def test_summand_index_matches_brute_force(N, g):
+# max_order: the ambient order (no rank skipped), and just below N^2 (rank 0 alone)
+@pytest.mark.parametrize("N, g, max_order", [
+    pytest.param(N, g, bound, id="%d-%d%s" % (N, g, suffix))
+    for N, g in INDEX_AMBIENTS
+    for bound, suffix in ((N ** (2 * g), ""), (N * N - 1, "-below-N^2"))
+])
+def test_summand_index_matches_brute_force(N, g, max_order):
     import random
 
     amb = ModelAmbient(N, g)
     rng = random.Random(N * 10 + g)
     for allowed in _allowed_sets(amb, rng):
-        got = sorted((len(B.basis), B.basis) for B in summands_within(amb, allowed))
-        want = sorted((len(B.basis), B.basis) for B in _brute_force_within(amb, allowed))
+        got = sorted((len(B.basis), B.basis)
+                     for B in summands_within(amb, allowed, max_order))
+        want = sorted((len(B.basis), B.basis)
+                      for B in _brute_force_within(amb, allowed, max_order))
         assert got == want
 
 
@@ -569,9 +577,10 @@ def test_catalog_past_the_size_cap_is_refused_before_anything_is_built(
     with pytest.raises(CapExceededError) as exc:
         enumerate_summands(amb, rank)
     assert exc.value.required == size
-    # summands_within checks every rank before it builds the first
+    # summands_within checks every rank before it builds the first, even the
+    # ranks that max_order lets it skip
     with pytest.raises(CapExceededError) as exc:
-        next(summands_within(amb, {amb.zero()}))
+        next(summands_within(amb, {amb.zero()}, 1))
     assert exc.value.required == size and cst._CATALOGS == {}
     point = (1,) + (0,) * (amb.rank - 1)
     with pytest.raises(CapExceededError):
@@ -585,3 +594,79 @@ def test_size_cap_admits_the_largest_answered_catalog():
     # rank 2 of (Z/5)^6 is the largest catalog an answered input reads
     assert cst.catalog_size(5, 6, 2) == 508431 <= cst.CATALOG_SIZE_CAP
     assert cst.catalog_size(4, 6, 2) == 166656 and cst.catalog_size(2, 8, 4) == 200787
+
+
+def test_one_point_closure_builds_only_the_zero_summand(monkeypatch):
+    # a 4-point orbit holds no coset of a 25-point summand, so ranks 2 and 4
+    # of (Z/5)^6 (508 431 summands each) are never built
+    monkeypatch.setattr(cst, "_CATALOGS", {})
+    out = special_closure(ModelAmbient(5, 3), [(1, 0, 0, 0, 0, 0)], 1)
+    assert [(tc.point, tc.subgroup.basis, tc.order) for tc in out] == [
+        ((1, 0, 0, 0, 0, 0), (), 5)]
+    assert list(cst._CATALOGS) == [(5, 3, 0)]
+
+
+# every (N, g) with N^(2g) <= 4096 and N > 1 (the trivial group has no
+# full-rank catalog summand, so its closure fails at the parent too)
+ORACLE_AMBIENTS = [(N, g) for g in range(1, 7) for N in range(2, 65) if N ** (2 * g) <= 4096]
+
+
+def _closure_fields(out):
+    return [(tc.point, tc.subgroup.basis, tc.order) for tc in out]
+
+
+def _witness_fields(wit):
+    return wit.alpha, wit.subgroup.basis, wit.order, wit.within_cap
+
+
+@pytest.mark.parametrize("N, g", ORACLE_AMBIENTS)
+def test_stable_block_search_matches_the_scan_oracles(N, g):
+    """special_closure and keyprop_witness against the per-(B, alpha) scans
+    they replaced, field by field, for c = 1, 2, 3: 1-4 random points, the
+    zero point, a coset of a small summand plus a point, and (c = 1) the full
+    target; keyprop_witness takes V = that target and a random a in S."""
+    import random
+
+    from oracles import keyprop_witness_by_scan, special_closure_by_scan
+
+    amb = ModelAmbient(N, g)
+    sizes = [cst.catalog_size(N, amb.rank, r) for r in range(0, amb.rank + 1, 2)]
+    oversized = next((s for s in sizes if s > cst.CATALOG_SIZE_CAP), None)
+    point = (1,) + (0,) * (amb.rank - 1)
+    if oversized is not None:  # refused whatever the points
+        with pytest.raises(CapExceededError) as exc:
+            special_closure(amb, [point], 1)
+        assert exc.value.required == oversized
+        with pytest.raises(CapExceededError) as exc:
+            keyprop_witness(amb, [point], point, 1, 5)
+        assert exc.value.required == oversized
+        return
+    rng = random.Random(1000 * N + g)
+
+    def rand_point():
+        return tuple(rng.randrange(N) for _ in range(amb.rank))
+
+    # positive-rank summands of at most 9 points: larger cosets make the
+    # exact-cover search itself slow
+    small = [B for r in range(2, amb.rank + 1, 2) if N ** r <= 9
+             for B in enumerate_summands(amb, r)]
+    for c in (1, 2, 3):
+        sets = [[rand_point() for _ in range(rng.randrange(1, 5))], [amb.zero()]]
+        if c == 1:  # the full target answers alike for every c
+            sets.append(list(amb.elements()))
+        if small:  # a coset of a small summand and one more point
+            alpha = rand_point()
+            sets.append([amb.add(alpha, b) for b in rng.choice(small).elements()]
+                        + [rand_point()])
+        for S in sets:
+            assert _closure_fields(special_closure(amb, S, c)) == _closure_fields(
+                special_closure_by_scan(amb, S, c))
+            if len(S) == amb.order and (amb.order > 256 or sum(sizes) > 1000):
+                continue  # every summand fits: too many blocks for the scan
+            a = rng.choice(S)
+            V = set(S)
+            for x in S:
+                V |= lang_orbit(amb, x, c)
+            delta_cap = rng.randrange(1, N + 1)
+            assert _witness_fields(keyprop_witness(amb, V, a, c, delta_cap)) == _witness_fields(
+                keyprop_witness_by_scan(amb, V, a, c, delta_cap))
