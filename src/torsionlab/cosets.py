@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import reduce
 from math import gcd
-from operator import getitem
+from operator import getitem, or_
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
 from .linalg import free_summand_bases as _free_summand_bases_prime_power
-from .linalg import smith_normal_form, span_points
+from .linalg import Memo, smith_normal_form, span_points
 
 #: subgroup/point enumeration refuses to touch ambient groups bigger than this
 AMBIENT_ORDER_CAP = 20736  # 12^4
@@ -135,7 +136,7 @@ class ModelSubvariety:
         once per prime and pivot set while the check itself still runs on
         every basis.  Without it each row is reduced afresh."""
         if verdicts is None:
-            verdicts = _Memo(_unit_verdicts)
+            verdicts = Memo(_unit_verdicts)
         for p, cols in pivots:
             units = verdicts[p, cols]
             for i, row in enumerate(basis):
@@ -283,20 +284,7 @@ _CATALOGS: dict = {}
 CATALOG_SIZE_CAP = 1 << 20
 
 
-class _Memo(dict):
-    """A dict that fills a missing key with ``fn(key)`` on its first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _unit_verdicts(key) -> _Memo:
+def _unit_verdicts(key) -> Memo:
     """For key = (p, cols): row -> i when the row reduced mod p is the unit
     vector e_i on the columns ``cols``, else -1."""
     p, cols = key
@@ -307,7 +295,7 @@ def _unit_verdicts(key) -> _Memo:
             return residues.index(1)
         return -1
 
-    return _Memo(verdict)
+    return Memo(verdict)
 
 
 def catalog_size(N: int, n: int, r: int) -> int:
@@ -335,7 +323,7 @@ def _scaled_bases(N: int, p: int, e: int, n: int, rank: int):
     bases.  Each distinct row is scaled once and held as one object."""
     q = p ** e
     e_q = N // q * pow(N // q, -1, q) % N
-    held = _Memo(lambda row: tuple([e_q * x % N for x in row]))
+    held = Memo(lambda row: tuple([e_q * x % N for x in row]))
     for pivots, basis in _free_summand_bases_prime_power(q, p, n, rank):
         yield ((p, pivots),), tuple(map(held.__getitem__, basis))
 
@@ -345,7 +333,7 @@ def _crt_sums(left, right: list, N: int):
     combined row by row.  The sum of two rows is built on the pair's first
     use and shared from then on; distinct pairs have distinct sums (CRT), so
     no row value is held twice."""
-    sums = _Memo(lambda a: _Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
+    sums = Memo(lambda a: Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
     for pivots_a, basis_a in left:
         row_sums = [sums[a] for a in basis_a]
         for pivots_b, basis_b in right:
@@ -394,7 +382,7 @@ def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
         bases, *rest = [_scaled_bases(N, p, e, ambient.rank, rank) for p, e in fact]
         for part in rest:
             bases = _crt_sums(bases, list(part), N)
-        verdicts = _Memo(_unit_verdicts)
+        verdicts = Memo(_unit_verdicts)
         result = [
             ModelSubvariety._from_catalog(ambient, basis, pivots, verdicts)
             for pivots, basis in bases
@@ -507,6 +495,14 @@ def special_closure(
     set-cover search over the stable blocks inside A (``_stable_blocks``;
     a block reached from several summands keeps the largest, then the least
     basis), iterative deepening with lexicographic tie-breaking.
+
+    The atoms are the orbits of S, atom i (by least point) the bit 1 << i;
+    a block orbit(alpha) + B is the union of the orbits of alpha + B, so it
+    is held as a mask of atoms.  The search branches on the lowest uncovered
+    bit, and one memo shared by every depth keeps the largest budget at
+    which each uncovered mask failed.  It changes no answer: a result
+    depends on (mask, budget) alone, and no cover within b blocks means
+    none within fewer, so the first cover at the least depth is unchanged.
     """
     if ambient.order > cap:
         raise CapExceededError(
@@ -522,7 +518,8 @@ def special_closure(
             atom_of.update(dict.fromkeys(orb, orb))
     target = frozenset(atom_of)
 
-    if len(target) == ambient.order:
+    # N = 1 has no summand of positive rank; the block search finds {0} + 0
+    if ambient.N > 1 and len(target) == ambient.order:
         full = enumerate_summands(ambient, ambient.rank, cap)[0]
         return [TorsionCoset(ambient.zero(), full)]
 
@@ -532,41 +529,37 @@ def special_closure(
         prev = blocks.get(block)
         if prev is None or (-B.order, B.basis) < (-prev[1].order, prev[1].basis):
             blocks[block] = (rep, B)
-    choices = sorted(
-        blocks.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0]))
-    )
+    atoms = sorted(set(atom_of.values()), key=min)
+    bit = {p: 1 << i for i, atom in enumerate(atoms) for p in atom}  # point -> its atom's bit
+    choices = sorted(blocks.items(), key=lambda kv: (-len(kv[0]), sorted(kv[0])))
+    choices = [(reduce(or_, map(bit.get, block)), rep, B) for block, (rep, B) in choices]
 
-    # minimal number of components: exact cover over the orbit atoms by
-    # iterative deepening; candidate order makes the result deterministic
-    atom_sets = sorted(set(atom_of.values()), key=min)
+    # minimal number of components: a cover of the atoms by iterative
+    # deepening; candidate order makes the result deterministic
+    failed: dict[int, int] = {}  # uncovered mask -> largest budget that failed
 
-    def search(uncovered, budget, acc):
+    def search(uncovered: int, budget: int):
         if not uncovered:
-            return acc
-        if budget == 0:
+            return []
+        if budget == 0 or failed.get(uncovered, 0) >= budget:
             return None
-        first = min(min(a) for a in uncovered)
-        for block_pts, (rep, B) in choices:
-            if first not in block_pts:
-                continue
-            rest = [a for a in uncovered if not (a <= block_pts)]
-            if len(rest) == len(uncovered):
-                continue
-            got = search(rest, budget - 1, acc + [(rep, B)])
-            if got is not None:
-                return got
+        lowest = uncovered & -uncovered
+        for mask, rep, B in choices:
+            if mask & lowest:
+                got = search(uncovered & ~mask, budget - 1)
+                if got is not None:
+                    got.append((rep, B))
+                    return got
+        failed[uncovered] = budget
         return None
 
-    solution = None
-    for k in range(1, len(atom_sets) + 1):
-        solution = search(atom_sets, k, [])
-        if solution is not None:
-            break
+    every = (1 << len(atoms)) - 1
+    solution = next((got for k in range(1, len(atoms) + 1)
+                     if (got := search(every, k)) is not None), None)
     if solution is None:
         raise InternalCheckError("orbit atoms always admit a cover")
-    out = [TorsionCoset(rep, B) for rep, B in solution]
-    out.sort(key=lambda tc: (tc.point, tc.subgroup.basis))
-    return out
+    return sorted((TorsionCoset(rep, B) for rep, B in solution),
+                  key=lambda tc: (tc.point, tc.subgroup.basis))
 
 
 @dataclass(frozen=True)

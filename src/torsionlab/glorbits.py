@@ -26,7 +26,7 @@ from math import isqrt
 from operator import and_, itemgetter, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
-from .linalg import free_summand_bases, rank, rref, span_points
+from .linalg import Memo, free_summand_bases, rank, rref, span_points
 
 #: refuse subspace-lattice work when the ambient point count exceeds this
 SUBSPACE_LATTICE_CAP = 3125  # 5^5
@@ -198,17 +198,10 @@ class MatrixGroup:
         return out
 
 
-class _RowTimes(dict):
+def _row_times(m: Mat, ell: int) -> Memo:
     """row -> row * m over F_ell, computed on first lookup and kept."""
-
-    def __init__(self, m: Mat, ell: int):
-        super().__init__()
-        self.cols = tuple(zip(*m))
-        self.ell = ell
-
-    def __missing__(self, row: Vec) -> Vec:
-        out = self[row] = tuple(sum(map(mul, row, col)) % self.ell for col in self.cols)
-        return out
+    cols = tuple(zip(*m))
+    return Memo(lambda row: tuple(sum(map(mul, row, col)) % ell for col in cols))
 
 
 def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> MatrixGroup:
@@ -232,7 +225,7 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
         if rank(m, ell) != dim:
             raise ValidationError("singular generator %r mod %d" % (gmat, ell))
         norm.append(m)
-    times = [_RowTimes(m, ell).__getitem__ for m in norm]
+    times = [_row_times(m, ell).__getitem__ for m in norm]
     ident = _identity(dim)
     seen = {ident}
     order = [ident]

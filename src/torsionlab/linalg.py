@@ -30,6 +30,19 @@ _numerator = attrgetter("numerator")
 _denominator = attrgetter("denominator")
 
 
+class Memo(dict):
+    """A dict that fills a missing key with ``fn(key)`` on its first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def over_one_den(values) -> tuple[list[int], int]:
     """(nums, den) with values = nums / den: den is the lcm of the denominators,
     so gcd(den, *nums) = 1."""

@@ -399,9 +399,10 @@ def test_gl_verify_big_ell_fails_fast(tmp_path):
     ]
 
 
-def _limited_child(argv, cpu_seconds=2, address_space_mib=512):
-    """``python -m torsionlab argv`` under a CPU-second and address-space limit,
-    so that a missing cap fails the test instead of exhausting the host."""
+def _limited_child(argv, cpu_seconds=2, address_space_mib=512, program=("-m", "torsionlab")):
+    """``python -m torsionlab argv`` (or ``python *program argv``) under a
+    CPU-second and address-space limit, so that a missing cap fails the test
+    instead of exhausting the host."""
     import resource
 
     def limit():
@@ -409,8 +410,9 @@ def _limited_child(argv, cpu_seconds=2, address_space_mib=512):
         limit_bytes = address_space_mib << 20
         resource.setrlimit(resource.RLIMIT_AS, (limit_bytes, limit_bytes))
 
-    return subprocess.run([sys.executable, "-m", "torsionlab"] + argv, capture_output=True,
-                          text=True, timeout=30, preexec_fn=limit, env=child_env())
+    return subprocess.run([sys.executable, *program] + argv, capture_output=True,
+                          text=True, timeout=max(30, 2 * cpu_seconds), preexec_fn=limit,
+                          env=child_env())
 
 
 def test_lang_orbit_of_huge_order_fails_fast():
@@ -495,6 +497,79 @@ def test_one_point_closure_builds_no_catalog_it_cannot_use():
     assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", (
         '{"N":5,"c":1,"component_count":1,"components":[{"N":5,"basis":[],"g":3,'
         '"order":5,"point":[1,0,0,0,0,0]}],"g":3,"total_points":4}\n'))
+
+
+def test_closure_on_the_trivial_group_is_the_zero_subgroup():
+    proc = _limited_child(["special-closure", "--N", "1", "--g", "1", "--points", "0,0",
+                           "--c", "1"])
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", (
+        '{"N":1,"c":1,"component_count":1,"components":[{"N":1,"basis":[],"g":1,'
+        '"order":1,"point":[0,0]}],"g":1,"total_points":1}\n'))
+
+
+def test_cover_search_over_sixteen_single_point_atoms_answers():
+    # at N = 2 every orbit is one point, so the 16 points after 0 in product
+    # order are 16 atoms; the unmemoised cover search took 35.4 CPU s here,
+    # the search that remembers failed uncovered masks 1.2-1.5 CPU s (2-vCPU VM)
+    points = ";".join(",".join(map(str, p))
+                      for p in list(itertools.product(range(2), repeat=8))[1:17])
+    proc = _limited_child(["special-closure", "--N", "2", "--g", "4", "--points", points,
+                           "--c", "1"], cpu_seconds=10)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == (
+        '{"N":2,"c":1,"component_count":6,"components":['
+        '{"N":2,"basis":[[0,0,0,0,0,1,0,0],[0,0,0,0,0,0,1,1]],"g":4,"order":2,'
+        '"point":[0,0,0,0,0,0,0,1]},'
+        '{"N":2,"basis":[[0,0,0,0,0,1,0,1],[0,0,0,0,0,0,1,0]],"g":4,"order":2,'
+        '"point":[0,0,0,0,0,0,0,1]},'
+        '{"N":2,"basis":[[0,0,0,0,0,1,0,1],[0,0,0,0,0,0,1,1]],"g":4,"order":2,'
+        '"point":[0,0,0,0,0,0,0,1]},'
+        '{"N":2,"basis":[[0,0,0,0,0,0,1,0],[0,0,0,0,0,0,0,1]],"g":4,"order":2,'
+        '"point":[0,0,0,0,1,0,0,0]},'
+        '{"N":2,"basis":[[0,0,0,0,0,0,1,0],[0,0,0,0,0,0,0,1]],"g":4,"order":2,'
+        '"point":[0,0,0,0,1,1,0,0]},'
+        '{"N":2,"basis":[],"g":4,"order":2,"point":[0,0,0,1,0,0,0,0]}'
+        '],"g":4,"total_points":16}\n')
+
+
+#: runs special-closure cases through cli.main in one process: argv[1] is a
+#: JSON list of argument lists; prints [exit code or null, stderr] per case
+_IN_PROCESS_CASES = """
+import contextlib, io, json, sys, traceback
+from torsionlab.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except Exception:
+            code = None
+            traceback.print_exc()
+    results.append([code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_special_closure_answers_or_refuses_on_every_small_ambient():
+    # every (N, g) with N^(2g) <= 20736 and g <= 7, with the point e_1 and the
+    # points {e_1, (1, ..., 1)}: 340 cases, 2.5 CPU s on a 2-vCPU VM
+    cases = []
+    for g in range(1, 8):
+        for N in itertools.takewhile(lambda N: N ** (2 * g) <= 20736, itertools.count(1)):
+            for points in (_point(2 * g), _point(2 * g) + ";" + ",".join(["1"] * (2 * g))):
+                cases.append(["special-closure", "--N", str(N), "--g", str(g),
+                              "--points", points, "--c", "1"])
+    assert len(cases) == 340
+    proc = _limited_child([json.dumps(cases)], cpu_seconds=30,
+                          program=("-c", _IN_PROCESS_CASES))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)
+    assert len(results) == len(cases)
+    for argv, (code, stderr) in zip(cases, results):
+        assert (code, stderr) == (0, "") or (
+            code == 2 and len(stderr.splitlines()) == 1
+            and stderr.startswith("error: cap-exceeded: ")), (argv, code, stderr)
 
 
 def test_jacobsthal_search_past_its_cap_fails_fast():

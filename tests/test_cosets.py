@@ -670,3 +670,27 @@ def test_stable_block_search_matches_the_scan_oracles(N, g):
             delta_cap = rng.randrange(1, N + 1)
             assert _witness_fields(keyprop_witness(amb, V, a, c, delta_cap)) == _witness_fields(
                 keyprop_witness_by_scan(amb, V, a, c, delta_cap))
+
+
+@pytest.mark.parametrize("c", [1, 2])
+@pytest.mark.parametrize("N, g", [(2, 2), (2, 3), (3, 2), (4, 2)])
+def test_cover_search_matches_the_scan_oracle_on_many_atom_targets(N, g, c):
+    """Targets of 6-14 points, where the cover search has many atoms to
+    branch on, against the unmemoised search of ``special_closure_by_scan``."""
+    import random
+
+    from oracles import special_closure_by_scan
+
+    amb = ModelAmbient(N, g)
+    rng = random.Random(100 * N + 10 * g + c)
+    for _ in range(8):
+        want = rng.randrange(6, 15)
+        S, target = [], set()
+        while len(target) < want:
+            point = tuple(rng.randrange(N) for _ in range(amb.rank))
+            orbit = lang_orbit(amb, point, c)
+            if len(target | orbit) <= 14:
+                S.append(point)
+                target |= orbit
+        assert _closure_fields(special_closure(amb, S, c)) == _closure_fields(
+            special_closure_by_scan(amb, S, c))
