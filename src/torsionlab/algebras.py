@@ -453,16 +453,17 @@ def column_span(mats) -> list[list[int]]:
 # right ideals
 
 
-def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str):
+def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str) -> AlgebraElement:
     """Solve for e in span(basis) with e*x = x for every x in the span.
 
     ``basis`` is the canonical integer basis of a right ideal, used as it
-    comes.  Returns e, or None for the zero ideal.  Inconsistency is an
-    internal error: in a semisimple algebra every right ideal has an
-    idempotent generator.
+    comes; the zero ideal's is zero.  Inconsistency is an internal error: in
+    a semisimple algebra every right ideal has an idempotent generator.  On a
+    two-sided ideal K = cA, c a central idempotent, it is K's unit c: a left
+    unit e of K lies in K, so e = c*e = e*c = c.
     """
     if not basis:
-        return None  # the zero ideal
+        return alg.zero()
     xs = _integer_basis(alg, basis)
     # unknowns t_i; equations: sum_i t_i (x_i * x_j) = x_j, all coords, all j
     system = []
@@ -473,15 +474,10 @@ def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str):
     sol = linalg.int_solve(system, rhs)
     if sol is None:
         raise InternalCheckError("no idempotent generator found for %s" % label)
-    return _combination(alg, sol, xs)
-
-
-def _combination(alg: SplitSemisimpleAlgebra, coeffs, elems) -> AlgebraElement:
-    """sum t_i * elems[i] for integer-coordinate elems, with the
-    coefficients t = T / den given as (T, den)."""
-    tn, td = coeffs
+    # e = sum t_i x_i, the coefficients t = T / den given as (T, den)
+    tn, td = sol
     acc = [0] * alg.dim
-    for t, x in zip(tn, elems):
+    for t, x in zip(tn, xs):
         if t:
             acc = [s + t * y for s, y in zip(acc, x.num)]
     return AlgebraElement._of(alg, acc, td)
@@ -500,8 +496,6 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
     if not span_leq(products, span):
         raise ValidationError("ideal_basis does not span a right ideal")
     e = _idempotent_generator(A, span, "right ideal")
-    if e is None:
-        return A.zero()
     if not e.is_idempotent():
         raise InternalCheckError("generator is not idempotent")
     # e*A = X, both inclusions
@@ -512,6 +506,18 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
 
 # ---------------------------------------------------------------------------
 # idempotent lifting
+
+
+def _preimages(emb: AlgebraEmbedding, rows, name: str) -> list[AlgebraElement]:
+    """The preimages under emb of the elements with the integer coordinate
+    rows ``rows``; one outside the image is an internal error naming ``name``."""
+    out = []
+    for x in _integer_basis(emb.target, rows):
+        pre = emb.preimage(x)
+        if pre is None:
+            raise InternalCheckError("%s escaped the embedded subalgebra" % name)
+        out.append(pre)
+    return out
 
 
 def _check_idempotent(x: AlgebraElement, name: str):
@@ -554,13 +560,7 @@ def lift_idempotent(
     uN = _span_elements(N, [u * x for x in N.basis()])
     m_embedded = _span_elements(N, emb.images)
     inter = int_span_intersect(uN, m_embedded)
-    ideal_in_m = []
-    for x in _integer_basis(N, inter):
-        pre = emb.preimage(x)
-        if pre is None:
-            raise InternalCheckError("intersection escaped the embedded subalgebra")
-        ideal_in_m.append(pre)
-    v = right_ideal_generator(M, ideal_in_m)
+    v = right_ideal_generator(M, _preimages(emb, inter, "intersection"))
     # verified conclusions
     im_v = _image_span(rep, [emb.apply(v)])
     if not (span_leq(im_w, im_v) and span_leq(im_v, im_u)):
@@ -622,7 +622,8 @@ def lift_idempotent_central(
     Construction: X = (u*N + pi*N) intersected with the subalgebra generated
     by M and pi; its idempotent generator is congruent mod (pi) to an
     idempotent of M, recovered through the unit of the two-sided ideal
-    M ∩ pi*M[pi].
+    K = M ∩ pi*M[pi].  K = cM for a central idempotent c of M, so the one
+    generator solve that finds K's left unit finds c (``_idempotent_generator``).
     """
     if emb.source != M or emb.target != N or rep.algebra != N:
         raise ValidationError("embedding/representation do not match the algebras")
@@ -654,8 +655,6 @@ def lift_idempotent_central(
     x_pi = int_span_intersect(ideal_span, s_span)
 
     m0 = _idempotent_generator(N, x_pi, "X_pi")
-    if m0 is None:
-        m0 = N.zero()
 
     # decompose m0 = m1 + m2*pi with m1, m2 in the embedded M
     sol = _coefficients(s_gens, m0)
@@ -663,32 +662,13 @@ def lift_idempotent_central(
         raise InternalCheckError("generator fell outside M + M*pi")
     m1 = AlgebraElement._of(M, sol[0][:M.dim], sol[1])
 
-    # K = M ∩ pi*S, a two-sided ideal of M; its unit is central in M
+    # K = M ∩ pi*S, a two-sided ideal of M; its unit is its idempotent generator
     pi_s = _span_elements(N, [pi * x for x in _integer_basis(N, s_span)])
     k_n = int_span_intersect(_span_elements(N, m_images), pi_s)
-    k_in_m = []
-    for x in _integer_basis(N, k_n):
-        pre = emb.preimage(x)
-        if pre is None:
-            raise InternalCheckError("K escaped the embedded subalgebra")
-        k_in_m.append(pre)
-    if k_in_m:
-        # unknowns t_i; equations y*x = x and x*y = x for y = sum t_i k_i, per
-        # coordinate, over the canonical integer basis of K
-        k_elems = _integer_basis(M, _span_elements(M, k_in_m))
-        system_k = []
-        rhs_k = []
-        for x in k_elems:
-            system_k.extend(zip(*[(y * x).num for y in k_elems]))
-            rhs_k.extend(x.num)
-            system_k.extend(zip(*[(x * y).num for y in k_elems]))
-            rhs_k.extend(x.num)
-        sol_k = linalg.int_solve(system_k, rhs_k)
-        if sol_k is None:
-            raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
-        e = _combination(M, sol_k, k_elems)
-    else:
-        e = M.zero()
+    k_basis = _span_elements(M, _preimages(emb, k_n, "K"))
+    e = _idempotent_generator(M, k_basis, "K")
+    if any(x * e != x for x in _integer_basis(M, k_basis)):
+        raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
 
     v = (M.one() - e) * m1
     if not v.is_idempotent():

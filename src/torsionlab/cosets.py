@@ -96,8 +96,10 @@ class ModelSubvariety:
     mod p instead: for each prime p | N the rows reduced mod p are the
     identity on the pivot columns of that prime's echelon basis, so their rank
     mod p is 2b; that holds for every p | N exactly when every elementary
-    divisor is prime to N.  On either path the SNF column transform that
-    answers ``contains`` is built on the first membership query and kept.
+    divisor is prime to N.  Membership and coset order read a point's
+    quotient coordinates (``_quotient``) through the SNF column transform V:
+    the public constructor keeps V from its freeness check's Smith form, a
+    catalog summand builds V on its first query and keeps it.
     """
 
     ambient: ModelAmbient
@@ -113,13 +115,14 @@ class ModelSubvariety:
         if len(basis) > amb.rank:
             raise ValidationError("basis larger than ambient rank")
         if basis:
-            d = smith_normal_form([list(row) for row in basis])[0]
+            d, _, v = smith_normal_form([list(row) for row in basis])
             divisors = [d[i][i] for i in range(len(basis))]
             if any(gcd(x, amb.N) != 1 for x in divisors):
                 raise ValidationError(
                     "basis does not span a free direct summand mod %d "
                     "(elementary divisors %s)" % (amb.N, divisors)
                 )
+            object.__setattr__(self, "_colmap", tuple(map(tuple, v)))
 
     @classmethod
     def _from_catalog(
@@ -158,23 +161,24 @@ class ModelSubvariety:
     def order(self) -> int:
         return self.ambient.N ** len(self.basis)
 
-    def contains(self, point) -> bool:
-        """Membership via the Smith transform: x in the span iff the trailing
-        coordinates of x @ V vanish mod N."""
+    def _quotient(self, point):
+        """The coordinates j >= 2b of x @ V mod N, x the reduced point, as an
+        iterable read once: x's image in (Z/N)^(2g) / B, as the elementary
+        divisors are units mod N.  The zero summand's are x's own."""
         amb = self.ambient
         x = amb.reduce(point)
         if not self.basis:
-            return all(c == 0 for c in x)
+            return x
         v = self._colmap
         if not v:
             v = tuple(map(tuple, smith_normal_form([list(r) for r in self.basis])[2]))
             object.__setattr__(self, "_colmap", v)
         n = amb.rank
-        r = len(self.basis)
-        for j in range(r, n):
-            if sum(x[i] * v[i][j] for i in range(n)) % amb.N != 0:
-                return False
-        return True
+        return (sum(x[i] * v[i][j] for i in range(n)) % amb.N for j in range(len(self.basis), n))
+
+    def contains(self, point) -> bool:
+        """x lies in the summand exactly when its quotient coordinates vanish."""
+        return not any(self._quotient(point))
 
     def elements(self, cap: int = AMBIENT_ORDER_CAP) -> frozenset[Vector]:
         if self.order > cap:
@@ -202,20 +206,12 @@ class TorsionCoset:
         object.__setattr__(self, "order", coset_order_raw(pt, self.subgroup))
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).factors:
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
-
-
 def coset_order_raw(point: Vector, subgroup: ModelSubvariety) -> int:
-    """Minimal m >= 1 with m * point inside the subgroup; scans divisors of N."""
-    amb = subgroup.ambient
-    for m in _divisors(amb.N):
-        if subgroup.contains(amb.scale(m, point)):
-            return m
-    raise InternalCheckError("N * point must lie in every subgroup")
+    """Minimal m >= 1 with m * point in the subgroup B: m*x lies in B exactly
+    when N divides m times each quotient coordinate q_j of x, so the order is
+    the lcm of the N / gcd(N, q_j), which is N / gcd(N, all q_j)."""
+    N = subgroup.ambient.N
+    return N // gcd(N, *subgroup._quotient(point))
 
 
 def lang_orbit(

@@ -22,10 +22,10 @@ import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from math import isqrt
 from operator import and_, itemgetter, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
+from .integers import FACTOR_LIMIT, is_prime
 from .linalg import Memo, free_summand_bases, rank, rref, span_points
 
 #: refuse subspace-lattice work when the ambient point count exceeds this
@@ -213,7 +213,10 @@ def generate_group(gens, ell: int, dim: int, cap: int = GROUP_SIZE_CAP) -> Matri
     so every generator keeps a memo from row to row*s and a product is dim
     lookups; a memo holds at most min(ell^dim, dim * order) rows.
     """
-    if ell < 2 or any(ell % k == 0 for k in range(2, isqrt(ell) + 1)):
+    if ell > FACTOR_LIMIT:
+        raise ValidationError(
+            "ell of %d bits exceeds 2^64, the limit of the primality test" % ell.bit_length())
+    if ell < 2 or not is_prime(ell):
         raise ValidationError("ell must be prime, got %r" % (ell,))
     if dim < 1:
         raise ValidationError("dim must be positive")

@@ -7,7 +7,8 @@ meaningful.  The threshold certificate's, the elimination's, the matrix-unit che
 the group closure's, the orbit-density report's and the torsion-coset closure's and witness's
 references are the library's earlier, direct algorithms
 instead, and so are the Fraction references of the rational kernels and of
-algebra element arithmetic.
+algebra element arithmetic, the two-sided solve for an ideal's unit and the
+divisor scan for a coset's order.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from torsionlab.bounds import (
     closed_form_threshold,
     exponent_constants,
 )
-from torsionlab.algebras import SplitSemisimpleAlgebra
+from torsionlab.algebras import AlgebraElement, SplitSemisimpleAlgebra
 from torsionlab.cosets import TorsionCoset, WitnessReport, enumerate_summands, lang_orbit
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.glorbits import (
@@ -37,7 +38,7 @@ from torsionlab.glorbits import (
     all_subspaces,
 )
 from torsionlab.integers import factorize, nth_prime
-from torsionlab.linalg import ceil_root_fraction, lcm, rank
+from torsionlab.linalg import ceil_root_fraction, int_solve, lcm, rank
 
 
 def jacobsthal_by_definition(d: int, window: int = 1 << 16) -> int:
@@ -513,6 +514,29 @@ def embedding_error_by_reference(source: SplitSemisimpleAlgebra,
     return None
 
 
+def two_sided_unit_by_solve(alg: SplitSemisimpleAlgebra, basis):
+    """The unit of the two-sided ideal whose canonical integer basis is
+    ``basis``, zero for the zero ideal: the library's earlier solve, with
+    unknowns t_i and the equations y*x = x and x*y = x for y = sum t_i k_i,
+    per coordinate, over the basis elements k_i and x."""
+    if not basis:
+        return alg.zero()
+    k_elems = [AlgebraElement._of(alg, row, 1) for row in basis]
+    system_k = []
+    rhs_k = []
+    for x in k_elems:
+        system_k.extend(zip(*[(y * x).num for y in k_elems]))
+        rhs_k.extend(x.num)
+        system_k.extend(zip(*[(x * y).num for y in k_elems]))
+        rhs_k.extend(x.num)
+    sol_k = int_solve(system_k, rhs_k)
+    if sol_k is None:
+        raise InternalCheckError("two-sided ideal of a semisimple algebra has a unit")
+    tn, td = sol_k
+    acc = [sum(t * x.num[k] for t, x in zip(tn, k_elems)) for k in range(alg.dim)]
+    return AlgebraElement._of(alg, acc, td)
+
+
 # --- group closure: the matrix-product reference --------------------------------------
 #
 # The closure as it was first written: every element times every generator
@@ -774,3 +798,19 @@ def keyprop_witness_by_scan(amb, V, a, c, delta_cap):
     (order, _, _), B = best
     alpha = min(p for p in (amb.add(a, b) for b in B.elements()) if amb.element_order(p) == order)
     return WitnessReport(alpha=alpha, subgroup=B, order=order, within_cap=order <= delta_cap)
+
+
+def coset_order_by_divisor_scan(point, subgroup, _members={}):
+    """Minimal m >= 1 with m * point inside the subgroup, by the library's
+    earlier scan over the divisors of N in ascending order; membership is read
+    off the subgroup's enumerated points, kept per subgroup."""
+    amb = subgroup.ambient
+    if subgroup not in _members:
+        _members[subgroup] = subgroup.elements()
+    divisors = [1]
+    for p, e in factorize(amb.N).factors:
+        divisors = [d * p ** k for d in divisors for k in range(e + 1)]
+    for m in sorted(divisors):
+        if amb.scale(m, amb.reduce(point)) in _members[subgroup]:
+            return m
+    raise InternalCheckError("N * point must lie in every subgroup")

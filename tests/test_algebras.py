@@ -1,4 +1,6 @@
 import contextlib
+import itertools
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -19,6 +21,7 @@ from oracles import (
     representation_error_by_reference,
     rref_by_fractions,
     standard_representation_images_by_fractions,
+    two_sided_unit_by_solve,
     zeros,
 )
 from torsionlab import linalg
@@ -27,6 +30,7 @@ from torsionlab.algebras import (
     AlgebraEmbedding,
     Representation,
     SplitSemisimpleAlgebra,
+    _idempotent_generator,
     _span_elements,
     column_span,
     diagonal_embedding,
@@ -545,6 +549,29 @@ def test_ideal_membership_rejects_noncentral_pi():
 
 
 # --- central lift ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("blocks", [(1,), (2,), (1, 1), (1, 2), (2, 2)], ids=str)
+def test_two_sided_ideal_unit_is_its_idempotent_generator(blocks):
+    """M of each block shape of criterion 7; K = 0 and every sum K of blocks of
+    M, spanned by random integer combinations of those blocks' matrix units.
+    K's idempotent generator is the two-sided solve's unit and the sum of the
+    blocks' units."""
+    M = SplitSemisimpleAlgebra(blocks)
+    assert _idempotent_generator(M, [], "K") == two_sided_unit_by_solve(M, []) == M.zero()
+    rng = random.Random(repr(blocks))
+    for r in range(1, len(blocks) + 1):
+        for chosen in itertools.combinations(range(len(blocks)), r):
+            units = [E(M, bi, i, j).num for bi in chosen
+                     for i in range(blocks[bi]) for j in range(blocks[bi])]
+            k_basis = []
+            while len(k_basis) < len(units):
+                rows = [[sum(rng.randrange(-3, 4) * u[k] for u in units) for k in range(M.dim)]
+                        for _ in units]
+                k_basis = linalg.span_basis(rows)
+            unit = sum((M.block_unit(bi) for bi in chosen), M.zero())
+            e = _idempotent_generator(M, k_basis, "K")
+            assert e == two_sided_unit_by_solve(M, k_basis) == unit, (blocks, chosen)
 
 
 def _scalar_in_m2xm2():

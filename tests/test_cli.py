@@ -343,6 +343,25 @@ def test_algebra_stdout_is_pinned(tmp_path, capsys, command, payload, stdout):
     assert (code, out, err) == (0, stdout, "")
 
 
+def test_output_corpus_matches_its_recorded_digests(tmp_path, monkeypatch):
+    # tests/corpus.py: 400 idempotent-lift(-central), special-closure and
+    # keyprop-witness invocations run in process (about 1 s); a byte of drift
+    # in any record fails here.  A deliberate output change records the
+    # digests again (``python tests/corpus.py``) and says which inputs changed
+    import corpus
+
+    monkeypatch.delenv("ARITH_MM_CAPS", raising=False)
+    with open(corpus.DIGESTS) as fh:
+        expected = json.load(fh)
+    runs = corpus.run(str(tmp_path))
+    assert sorted(runs) == sorted(expected)
+    got = corpus.digests(runs)
+    for command, pairs in runs.items():
+        for (argv, rec), short in zip(pairs, expected[command]["records"]):
+            assert corpus.short_hash(rec) == short, ("first differing record", argv, rec)
+        assert got[command] == expected[command]
+
+
 def test_group_cap_env_exit_2(tmp_path, capsys, monkeypatch):
     payload = {
         "ell": 5,
@@ -423,6 +442,21 @@ def test_lang_orbit_of_huge_order_fails_fast():
         "error: cap-exceeded: orbit scan over the units mod 1000000007 exceeds cap 20736 "
         "(required 1000000007)"
     ]
+
+
+@pytest.mark.parametrize("ell, line", [
+    (2 ** 61 - 1, "dim must be positive"),
+    (2 ** 61, "ell must be prime, got %d" % 2 ** 61),
+    (2 ** 89 - 1, "ell of 89 bits exceeds 2^64, the limit of the primality test"),
+], ids=["prime-2^61-1", "composite-2^61", "prime-2^89-1"])
+def test_gl_verify_tests_a_large_ell_fast(tmp_path, ell, line):
+    # dim 0 skips the lattice cap; with ell = 2^61 - 1 the primality test by
+    # trial division up to sqrt(ell) was killed at 10 CPU s
+    path = tmp_path / "large_ell.json"
+    path.write_text(json.dumps({"ell": ell, "dim": 0, "generators": [], "a": [], "V": []}))
+    proc = _limited_child(["gl-verify", "--input", str(path)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == ["error: validation: " + line]
 
 
 def _point(n):

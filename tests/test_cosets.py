@@ -17,6 +17,8 @@ from torsionlab.cosets import (
     summands_within,
     torsion_count,
 )
+from oracles import coset_order_by_divisor_scan
+from torsionlab.cosets import coset_order_raw
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.integers import factorize
 
@@ -116,6 +118,44 @@ def test_coset_order_examples():
     assert inside.order == 1
     assert TorsionCoset((1, 0, 0, 0), B).order == 6
     assert TorsionCoset((2, 0, 0, 0), B).order == 3
+
+
+#: (N, g, basis) of the public-constructor bases of this file, skew ones included
+PUBLIC_BASES = [
+    (6, 1, [(2, 3), (1, 1)]),
+    (4, 1, [(1, 0), (2, 1)]),
+    (6, 2, [(0, 0, 1, 0), (0, 0, 0, 1)]),
+    (12, 2, [(1, 0, 5, 2), (0, 1, 3, 4)]),
+    (15, 2, [(1, 0, 2, 0), (0, 1, 0, 1)]),
+]
+
+
+def _assert_orders_match(B, points):
+    assert [coset_order_raw(x, B) for x in points] == [
+        coset_order_by_divisor_scan(x, B) for x in points], B.basis
+
+
+def test_coset_order_matches_the_divisor_scan():
+    """The closed form N / gcd(N, quotient coordinates) against the scan over
+    the divisors of N: on every point and catalog summand of each ambient of
+    order at most 81; on 200 seeded points of (Z/12)^4 against 100 seeded
+    rank-2 catalog summands and the whole group; on 200 seeded points
+    against each public-constructor basis."""
+    import random
+
+    for N, g in [(N, 1) for N in range(1, 10)] + [(2, 2), (3, 2), (2, 3)]:
+        amb = ModelAmbient(N, g)
+        points = list(amb.elements())
+        for B in all_summands(amb):
+            _assert_orders_match(B, points)
+    rng = random.Random(19)
+    amb = ModelAmbient(12, 2)
+    points = rng.sample(list(amb.elements()), 200)
+    for B in rng.sample(enumerate_summands(amb, 2), 100) + enumerate_summands(amb, 4):
+        _assert_orders_match(B, points)
+    for N, g, basis in PUBLIC_BASES:
+        points = [tuple(rng.randrange(N) for _ in range(2 * g)) for _ in range(200)]
+        _assert_orders_match(_summand(N, g, basis), points)
 
 
 # --- torsion counts -----------------------------------------------------------
