@@ -13,13 +13,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import reduce
-from math import gcd
-from operator import getitem, or_
+from math import gcd, prod
+from operator import or_
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
-from .linalg import free_summand_bases as _free_summand_bases_prime_power
-from .linalg import Memo, smith_normal_form, span_points
+from .linalg import Memo, free_summand_rows, smith_normal_form, span_points
 
 #: subgroup/point enumeration refuses to touch ambient groups bigger than this
 AMBIENT_ORDER_CAP = 20736  # 12^4
@@ -91,12 +90,14 @@ class ModelSubvariety:
     There are two ways in.  The public constructor validates: it reduces the
     basis and requires every elementary divisor of the basis matrix's integer
     Smith normal form to be coprime to N, which is equivalent to the rows
-    generating a free rank-2b summand.  The summand catalog builds through
-    ``_from_catalog``, which trusts its canonical bases and checks them
-    mod p instead: for each prime p | N the rows reduced mod p are the
-    identity on the pivot columns of that prime's echelon basis, so their rank
-    mod p is 2b; that holds for every p | N exactly when every elementary
-    divisor is prime to N.  Membership and coset order read a point's
+    generating a free rank-2b summand.  Catalog summands are built through
+    ``_from_catalog``, trusting ``_catalog`` to have checked them mod p:
+    for each prime p | N the rows reduced mod p are the identity on the
+    pivot columns of that prime's echelon basis, so their rank mod p is 2b,
+    which holds for every p | N exactly when every elementary divisor is
+    prime to N.  Row i must reduce to e_i whatever the other rows are, so
+    the check runs once per position, on its list of row choices.
+    Membership and coset order read a point's
     quotient coordinates (``_quotient``) through the SNF column transform V:
     the public constructor keeps V from its freeness check's Smith form, a
     catalog summand builds V on its first query and keeps it.
@@ -125,28 +126,8 @@ class ModelSubvariety:
             object.__setattr__(self, "_colmap", tuple(map(tuple, v)))
 
     @classmethod
-    def _from_catalog(
-        cls, ambient: ModelAmbient, basis, pivots, verdicts=None
-    ) -> "ModelSubvariety":
-        """A catalog summand, trusted to be reduced mod N and of even rank at
-        most 2g.  Freeness is still checked: for each (p, columns) in
-        ``pivots``, one pair per prime p | N, the basis reduced mod p must be
-        the identity on those columns, that is, its i-th row must reduce to
-        the unit vector e_i there.
-
-        ``verdicts`` memoizes that reduction per (row, p, columns): a catalog
-        build passes one memo for all its summands, so each row is reduced
-        once per prime and pivot set while the check itself still runs on
-        every basis.  Without it each row is reduced afresh."""
-        if verdicts is None:
-            verdicts = Memo(_unit_verdicts)
-        for p, cols in pivots:
-            units = verdicts[p, cols]
-            for i, row in enumerate(basis):
-                if units[row] != i:
-                    raise InternalCheckError(
-                        "catalog basis %s is not free mod %d" % (basis, p)
-                    )
+    def _from_catalog(cls, ambient: ModelAmbient, basis) -> "ModelSubvariety":
+        """A catalog summand, trusted: ``_catalog`` checked its rows."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
@@ -280,20 +261,6 @@ _CATALOGS: dict = {}
 CATALOG_SIZE_CAP = 1 << 20
 
 
-def _unit_verdicts(key) -> Memo:
-    """For key = (p, cols): row -> i when the row reduced mod p is the unit
-    vector e_i on the columns ``cols``, else -1."""
-    p, cols = key
-
-    def verdict(row) -> int:
-        residues = [row[j] % p for j in cols]
-        if residues.count(1) == 1 and residues.count(0) == len(cols) - 1:
-            return residues.index(1)
-        return -1
-
-    return Memo(verdict)
-
-
 def catalog_size(N: int, n: int, r: int) -> int:
     """Number of free rank-r direct summands of (Z/N)^n (0 <= r <= n): the
     product over p^e || N of the Gaussian binomial [n r]_p times
@@ -312,28 +279,41 @@ def _summand_count(fact, n: int, r: int) -> int:
     return out
 
 
-def _scaled_bases(N: int, p: int, e: int, n: int, rank: int):
-    """(((p, pivots),), basis) for each canonical basis of the prime power
-    q = p^e, its rows scaled by the CRT idempotent e_q (1 mod q, 0 mod N/q),
-    so that a combined basis is the elementwise sum mod N of its per-prime
-    bases.  Each distinct row is scaled once and held as one object."""
-    q = p ** e
-    e_q = N // q * pow(N // q, -1, q) % N
-    held = Memo(lambda row: tuple([e_q * x % N for x in row]))
-    for pivots, basis in _free_summand_bases_prime_power(q, p, n, rank):
-        yield ((p, pivots),), tuple(map(held.__getitem__, basis))
+def _check_free(i: int, rows, pivots) -> None:
+    """Raise unless every row of ``rows`` reduces mod p to the unit vector
+    e_i on the columns ``cols``, for each (p, cols) in ``pivots``."""
+    for p, cols in pivots:
+        unit = [int(k == i) for k in range(len(cols))]
+        for row in rows:
+            if [row[j] % p for j in cols] != unit:
+                raise InternalCheckError(
+                    "catalog row %s at position %d is not free mod %d" % (row, i, p)
+                )
 
 
-def _crt_sums(left, right: list, N: int):
-    """Every pair of a ``left`` basis and a ``right`` basis, left outermost,
-    combined row by row.  The sum of two rows is built on the pair's first
-    use and shared from then on; distinct pairs have distinct sums (CRT), so
-    no row value is held twice."""
-    sums = Memo(lambda a: Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
-    for pivots_a, basis_a in left:
-        row_sums = [sums[a] for a in basis_a]
-        for pivots_b, basis_b in right:
-            yield pivots_a + pivots_b, tuple(map(getitem, row_sums, basis_b))
+def _position_lists(parts, sums):
+    """(pivots, lists) per basis of the primes before the last of ``parts``
+    (p, {cols: CRT-scaled rows per position}) and per pivot set of the last:
+    lists[i] holds the sums ``sums[a][b]`` of the basis's row i, a, with each
+    choice b of the last prime at position i.  A list depends on (i, a,
+    pivots) alone, so it is built and checked mod every prime once."""
+    *outer, (p, choices) = parts
+    heads = ((pivots, basis) for pivots, lists in _position_lists(outer, sums)
+             for basis in itertools.product(*lists)) if outer else [((), ())]
+
+    def checked(key):
+        i, a, pivots = key
+        rows = choices[pivots[-1][1]][i]
+        rows = list(map(sums[a].__getitem__, rows)) if a else rows
+        _check_free(i, rows, pivots)
+        return rows
+
+    lists = Memo(checked)
+    for head, basis in heads:
+        for cols, positions in choices.items():
+            pivots = head + ((p, cols),)
+            yield pivots, [lists[i, a, pivots]
+                           for i, a in enumerate(basis or [()] * len(positions))]
 
 
 def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
@@ -346,11 +326,13 @@ def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
     the closed form, so that a refused call builds nothing.
 
     A positive-rank catalog is the product of the per-prime catalogs, first
-    prime outermost.  Every basis row is held once per build: per-prime rows
-    are scaled once (``_scaled_bases``), and each CRT sum of a pair of
-    per-prime rows is built once (``_crt_sums``); a prime power N takes its
-    scaled bases as they are, with no CRT step.  ``_from_catalog`` checks
-    every combined basis mod every p | N, reading one verdict memo per build.
+    prime outermost, built position by position (``_position_lists``): each
+    per-prime row is scaled by its CRT idempotent once and each CRT sum of
+    two rows is built once, so each row is held once.  Every row of each
+    position's list is checked (``_check_free``) before the product over the
+    lists is taken, which is exact: row i of every basis lies in list i and,
+    no list being empty, every row of list i lies in some basis.  Position 0
+    varies slowest in a product, so each of its rows leads one index run.
     """
     if ambient.order > cap:
         raise CapExceededError(
@@ -371,21 +353,27 @@ def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
                 % (r, N, ambient.rank, size, CATALOG_SIZE_CAP),
                 required=size,
             )
-    result = []
+    result: list[ModelSubvariety] = []
+    index: dict[Vector, list[ModelSubvariety]] = {}
     if rank == 0:
         result.append(ModelSubvariety(ambient, tuple()))
+        index[()] = result[:]
     elif fact:  # N = 1 is the trivial group: no summand of positive rank
-        bases, *rest = [_scaled_bases(N, p, e, ambient.rank, rank) for p, e in fact]
-        for part in rest:
-            bases = _crt_sums(bases, list(part), N)
-        verdicts = Memo(_unit_verdicts)
-        result = [
-            ModelSubvariety._from_catalog(ambient, basis, pivots, verdicts)
-            for pivots, basis in bases
-        ]
-    index: dict[Vector, list[ModelSubvariety]] = {}
-    for B in result:
-        index.setdefault(B.basis[0] if B.basis else (), []).append(B)
+        parts = []
+        for p, e in fact:
+            q = p ** e
+            e_q = N // q * pow(N // q, -1, q) % N
+            scaled = Memo(lambda row, e_q=e_q: tuple([e_q * x % N for x in row]))
+            parts.append((p, {cols: [list(map(scaled.__getitem__, rows)) for rows in positions]
+                              for cols, positions in free_summand_rows(q, p, ambient.rank, rank)}))
+        sums = Memo(lambda a: Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
+        for _, lists in _position_lists(parts, sums):
+            start, run = len(result), prod(map(len, lists[1:]))
+            result += [ModelSubvariety._from_catalog(ambient, basis)
+                       for basis in itertools.product(*lists)]
+            for row in lists[0]:
+                index.setdefault(row, []).extend(result[start:start + run])
+                start += run
     _CATALOGS[key] = (result, index)
     return result, index
 

@@ -26,7 +26,7 @@ from operator import and_, itemgetter, mul
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import FACTOR_LIMIT, is_prime
-from .linalg import Memo, free_summand_bases, rank, rref, span_points
+from .linalg import Memo, free_summand_rows, rank, rref, span_points
 
 #: refuse subspace-lattice work when the ambient point count exceeds this
 SUBSPACE_LATTICE_CAP = 3125  # 5^5
@@ -121,7 +121,8 @@ def all_subspaces(ell: int, dim: int, cap: int = SUBSPACE_LATTICE_CAP, _cache={}
     out = [
         Subspace(ell, dim, basis)
         for r in range(dim + 1)
-        for _, basis in free_summand_bases(ell, ell, dim, r)
+        for _, rows in free_summand_rows(ell, ell, dim, r)
+        for basis in itertools.product(*rows)
     ]
     _cache[key] = out
     return out

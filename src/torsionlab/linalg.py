@@ -177,9 +177,12 @@ def span_points(basis, n: int, dim: int) -> frozenset[tuple[int, ...]]:
     )
 
 
-def free_summand_bases(q: int, p: int, n: int, r: int):
-    """Canonical bases of the free rank-r direct summands of (Z/q)^n, q = p^e,
-    each yielded with its pivot columns.
+def free_summand_rows(q: int, p: int, n: int, r: int):
+    """The canonical bases of the free rank-r direct summands of (Z/q)^n,
+    q = p^e, one (pivots, rows) per pivot set: rows[i] lists the choices
+    for the row whose pivot is pivots[i], and the bases of that pivot set
+    are ``itertools.product(*rows)``, in the lexicographic order of their
+    free entries.
 
     Echelon shape: pivot columns carry the identity; a non-pivot entry right
     of its row's pivot ranges over Z/q, one left of it over p*Z/q (its mod-p
@@ -187,13 +190,9 @@ def free_summand_bases(q: int, p: int, n: int, r: int):
     Each summand appears exactly once: count per pivot set multiplies out to
     the Gaussian binomial times p^((e-1) r (n-r)).  With q = p these are the
     reduced echelon bases of the r-dimensional subspaces of F_p^n.
-
-    Each row ranges over its choices independently of the others, so the
-    rows of a pivot set are built once and its bases are tuples of them,
-    in the lexicographic order of their free entries.
     """
     for pivots in itertools.combinations(range(n), r):
-        rows = [
+        yield pivots, [
             list(itertools.product(*(
                 (1,) if j == c else (0,) if j in pivots
                 else range(q) if j > c else range(0, q, p)
@@ -201,8 +200,6 @@ def free_summand_bases(q: int, p: int, n: int, r: int):
             )))
             for c in pivots
         ]
-        for basis in itertools.product(*rows):
-            yield pivots, basis
 
 
 def _kernel(base, pivots, ncols: int):

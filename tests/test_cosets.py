@@ -21,6 +21,7 @@ from oracles import coset_order_by_divisor_scan
 from torsionlab.cosets import coset_order_raw
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.integers import factorize
+from torsionlab.linalg import free_summand_rows
 
 
 def _summand(N, g, basis):
@@ -408,9 +409,9 @@ def test_keyprop_witness_precondition():
 # --- the trusted catalog path ------------------------------------------------------
 
 # the finite-models benchmark ambients, and a few more N (prime, prime square,
-# two primes) at g = 1, 2
+# two primes) at g = 1, 2, and three primes at g = 1
 MODEL_AMBIENTS = [(3, 1), (4, 1), (6, 1), (12, 1), (3, 2), (4, 2), (6, 2), (8, 2), (12, 2)]
-EXTRA_AMBIENTS = [(N, g) for N in (2, 5, 9, 10) for g in (1, 2)]
+EXTRA_AMBIENTS = [(N, g) for N in (2, 5, 9, 10) for g in (1, 2)] + [(30, 1)]
 
 
 def _gaussian_binomial(n, r, p):
@@ -443,7 +444,8 @@ def test_catalog_is_the_crt_product_of_the_per_prime_catalogs(N, g):
     amb = ModelAmbient(N, g)
     moduli = [p ** e for p, e in factorize(N).factors]
     crt = {tuple(x % q for q in moduli): x for x in range(N)}
-    per_prime = [[basis for _, basis in cst._free_summand_bases_prime_power(q, p, amb.rank, 2)]
+    per_prime = [[basis for _, rows in free_summand_rows(q, p, amb.rank, 2)
+                  for basis in itertools.product(*rows)]
                  for (p, _), q in zip(factorize(N).factors, moduli)]
     want = [
         tuple(tuple(crt[residues] for residues in zip(*rows)) for rows in zip(*parts))
@@ -521,34 +523,48 @@ def test_catalog_build_runs_no_smith_normal_form(monkeypatch):
     pytest.param(12, 3, -1, id="12-p3-last"),
 ])
 def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N, bad_p, which):
-    """One per-prime basis (the eighth or the last of prime ``bad_p``) has a
-    pivot that vanishes mod p, and every other basis is valid: the check
-    raises only if it judges the combined rows of that basis mod ``bad_p``
-    on its own pivot columns, whichever prime comes first and however late
-    the bad basis is reached."""
-    real = cst._free_summand_bases_prime_power
+    """One row choice of prime ``bad_p`` (the eighth or the last, counted
+    over its pivot sets and positions) has a pivot that vanishes mod p, and
+    every other choice is valid: the check raises only if it judges the
+    combined rows of that position mod ``bad_p`` on the position's own pivot
+    column, whichever prime comes first and however late the bad row is
+    reached."""
+    real = cst.free_summand_rows
 
     def corrupted(q, p, n, r):
-        bases = list(real(q, p, n, r))
-        for i, (pivots, basis) in enumerate(bases):
-            if p == bad_p and i == which % len(bases):
-                rows = [list(row) for row in basis]
-                rows[0][pivots[0]] = p  # the pivot vanishes mod p
-                basis = tuple(map(tuple, rows))
-            yield pivots, basis
+        out = [(pivots, [list(rows) for rows in positions])
+               for pivots, positions in real(q, p, n, r)]
+        if p == bad_p:
+            slots = [(rows, k, c) for pivots, positions in out
+                     for c, rows in zip(pivots, positions) for k in range(len(rows))]
+            rows, k, c = slots[which]
+            row = list(rows[k])
+            row[c] = p  # the pivot vanishes mod p
+            rows[k] = tuple(row)
+        return out
 
-    monkeypatch.setattr(cst, "_free_summand_bases_prime_power", corrupted)
+    monkeypatch.setattr(cst, "free_summand_rows", corrupted)
     monkeypatch.setattr(cst, "_CATALOGS", {})
     with pytest.raises(InternalCheckError, match="not free mod %d" % bad_p):
         enumerate_summands(ModelAmbient(N, 2), 2)
 
 
 def test_trusted_constructor_rejects_a_non_summand():
+    """The catalog checks each position's list of row choices, mod every
+    prime on that prime's pivot columns, before it builds a summand."""
+    with pytest.raises(InternalCheckError, match=r"row \(0, 2\) at position 1 is not free mod 2"):
+        cst._check_free(1, [(2, 1), (0, 2)], [(2, (0, 1))])
+    # (3, 0) is e_0 mod 2 but vanishes mod 3
+    with pytest.raises(InternalCheckError, match=r"row \(3, 0\) at position 0 is not free mod 3"):
+        cst._check_free(0, [(1, 0), (3, 0)], [(2, (0, 1)), (3, (0, 1))])
+    # each row is judged at its own position: e_1 at position 0 fails
+    with pytest.raises(InternalCheckError, match="position 0"):
+        cst._check_free(0, [(0, 1)], [(2, (0, 1))])
+    cst._check_free(0, [(1, 0), (3, 2)], [(2, (0, 1))])
+    cst._check_free(1, [(2, 1)], [(2, (0, 1))])
     amb = ModelAmbient(4, 1)
-    with pytest.raises(InternalCheckError):
-        ModelSubvariety._from_catalog(amb, ((1, 0), (0, 2)), [(2, (0, 1))])
-    B = ModelSubvariety._from_catalog(amb, ((1, 0), (2, 1)), [(2, (0, 1))])
-    assert B == ModelSubvariety(amb, ((1, 0), (2, 1)))
+    B = ModelSubvariety._from_catalog(amb, ((1, 0), (2, 1)))
+    assert B == ModelSubvariety(amb, ((1, 0), (2, 1))) and B._colmap == ()
 
 
 # sha256 of every catalog's bases, rank by rank in catalog order, one
@@ -572,6 +588,18 @@ CATALOG_DIGESTS = {
     (9, 2): "32bb94cb8a35638d9394dc8c25bfef8368a7964a2e9d5fbacb04674f9344da27",
     (10, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
     (10, 2): "8e8258b8c72d42690aa566c8fe2b18411c0b79b331c1f65584c2d40a258484a7",
+    (30, 1): "231de0ce0de358adb2c862c24e7c0a1679b1cd4f6e91d565a29d47e424b3836c",
+}
+
+# the same digest for one rank of a larger ambient, keyed (N, g, rank);
+# recorded before catalogs were built position by position
+RANK_DIGESTS = {
+    (4, 3, 2): "04d1dbd2ae09f9b3c0a72e36d92ba37d88594d1d5009656a6682cd58a9dab7c7",
+    (2, 4, 2): "b846acddba3a7821d9905f3db37da7d15c81b802a5f525ec89975b30f2d2c918",
+    (2, 4, 4): "9bfd38734c9ab0fb0d297f5e21213c853fe6be9a350d97c56a170dd3de4958ad",
+    (2, 4, 6): "f9292558383383c521758abea3c94b6f9a19dfa42641e0f81d05d7d0b5026555",
+    (3, 3, 2): "849b9a1eeba49d61789700aec26486a0776fd7df8812f9059c7dce6447c8574c",
+    (3, 3, 4): "e00a1dd3bc52d7c7bc2496a6c7bdf8a3d4648ff937892ac2e1579683523ee723",
 }
 
 
@@ -583,6 +611,19 @@ def test_catalog_digest_is_pinned(N, g):
     for B in all_summands(ModelAmbient(N, g)):
         h.update(repr(B.basis).encode() + b"\n")
     assert h.hexdigest() == CATALOG_DIGESTS[N, g]
+
+
+def test_large_catalog_digests_are_pinned(monkeypatch):
+    """400 k summands; each catalog is dropped once hashed."""
+    import hashlib
+
+    monkeypatch.setattr(cst, "_CATALOGS", {})
+    for (N, g, rank), digest in RANK_DIGESTS.items():
+        h = hashlib.sha256()
+        for B in enumerate_summands(ModelAmbient(N, g), rank):
+            h.update(repr(B.basis).encode() + b"\n")
+        assert h.hexdigest() == digest, (N, g, rank)
+        cst._CATALOGS.clear()
 
 
 @pytest.mark.parametrize("N, g", MODEL_AMBIENTS + EXTRA_AMBIENTS)
@@ -610,7 +651,7 @@ def test_catalog_past_the_size_cap_is_refused_before_anything_is_built(
     def no_build(*args):
         raise AssertionError("a refused catalog must not be enumerated")
 
-    monkeypatch.setattr(cst, "_free_summand_bases_prime_power", no_build)
+    monkeypatch.setattr(cst, "free_summand_rows", no_build)
     monkeypatch.setattr(cst, "_CATALOGS", {})
     amb = ModelAmbient(N, g)
     assert cst.catalog_size(N, amb.rank, rank) == size > cst.CATALOG_SIZE_CAP
