@@ -336,7 +336,8 @@ class AlgebraEmbedding:
 
     @classmethod
     def _of(cls, source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra, images):
-        """The map with the given images in target, for a caller that checks it."""
+        """The map with the given images in target, for a caller that checks
+        it or builds it correct."""
         self = object.__new__(cls)
         self.__dict__.update(source=source, target=target, images=images)
         return self
@@ -364,13 +365,10 @@ class AlgebraEmbedding:
         return AlgebraElement._of(self.source, *sol)
 
 
-def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra,
-                       assignment: list[list[int]]) -> AlgebraEmbedding:
-    """Block-diagonal embedding: target block j stacks copies of the source
-    blocks listed in assignment[j] (sizes must add up exactly)."""
-    for j, lst in enumerate(assignment):
-        if sum(source.blocks[i] for i in lst) != target.blocks[j]:
-            raise ValidationError("assignment does not fill target block %d" % j)
+def _placed_units(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra,
+                  assignment: list[list[int]]) -> tuple[AlgebraElement, ...]:
+    """The image of each source matrix unit when target block j stacks copies
+    of the source blocks listed in assignment[j] down its diagonal."""
     images = []
     for bi, i, jj in source.basis_indices():
         places = []
@@ -381,7 +379,17 @@ def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAl
                     places.append(pos + (off + i) * n + off + jj)
                 off += source.blocks[si]
         images.append(target._units(places))
-    return AlgebraEmbedding(source, target, tuple(images))
+    return tuple(images)
+
+
+def diagonal_embedding(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra,
+                       assignment: list[list[int]]) -> AlgebraEmbedding:
+    """Block-diagonal embedding: target block j stacks copies of the source
+    blocks listed in assignment[j] (sizes must add up exactly)."""
+    for j, lst in enumerate(assignment):
+        if sum(source.blocks[i] for i in lst) != target.blocks[j]:
+            raise ValidationError("assignment does not fill target block %d" % j)
+    return AlgebraEmbedding(source, target, _placed_units(source, target, assignment))
 
 
 class Representation:
@@ -402,7 +410,8 @@ class Representation:
 
     @classmethod
     def _of(cls, emb: AlgebraEmbedding) -> "Representation":
-        """The representation held as a checked embedding into M_s(Q)."""
+        """The representation held as emb, an embedding into M_s(Q) that its
+        caller has checked or built correct."""
         self = object.__new__(cls)
         self.algebra, self.space_dim, self._emb = emb.source, emb.target.blocks[0], emb
         return self
@@ -438,9 +447,15 @@ class Representation:
 
 def standard_representation(alg: SplitSemisimpleAlgebra) -> Representation:
     """Column action on the direct sum of the block column spaces: the
-    block-diagonal embedding of alg into M_s(Q), s the sum of the block sizes."""
+    block-diagonal embedding of alg into M_s(Q), s the sum of the block sizes.
+
+    Each block's matrix units are placed once down the diagonal of M_s, which
+    is a unital, multiplicative and injective map by construction, so the
+    images are not checked again (``diagonal_embedding`` checks the same
+    placement in full, and the tests compare the two on every shape)."""
     target = SplitSemisimpleAlgebra((sum(alg.blocks),))
-    return Representation._of(diagonal_embedding(alg, target, [list(range(len(alg.blocks)))]))
+    images = _placed_units(alg, target, [list(range(len(alg.blocks)))])
+    return Representation._of(AlgebraEmbedding._of(alg, target, images))
 
 
 def column_span(mats) -> list[list[int]]:

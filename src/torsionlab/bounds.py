@@ -28,7 +28,15 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
-from .integers import FactoredInteger, factorize, jacobsthal, nth_prime, prime_upper
+from .integers import (
+    FactoredInteger,
+    factorize,
+    jacobsthal,
+    nth_prime,
+    prime_index_at_least,
+    prime_upper,
+    primorial,
+)
 from .linalg import ceil_root, ceil_root_fraction, lcm
 
 #: nth_prime is evaluated exactly up to this index; past it, iterated bounds
@@ -268,34 +276,58 @@ def _violation_region(params: BoundParams) -> tuple[int, int]:
 
     Violations with omega(d) = k require primorial(k) <= d < R_k, and once
     primorials outgrow R_k they stay ahead because consecutive-prime ratios
-    beat the R-ratio 2^delta' * e: the loop stops at the first class k where
+    beat the R-ratio 2^delta' * e: the scan stops at the first class k where
     primorial(k) >= R_k and that lock holds.  Write R_k^L = a * 2^e with
     a = max(k+1, D)^(delta*L) small and e = (k+1)*delta'*L.  Then
     primorial^L < R_k^L exactly when (primorial^L >> e) < a, and
     bitlen(R_k^L) = bitlen(a) + e, so neither the violation test nor the bit
     budget needs R_k itself.
 
-    Before the loop, a binary search over the same bit lengths finds the least
-    k <= TAIL_K_CAP whose R_k breaks the budget.  If the lock fails there, it
-    fails at every smaller k too, so the loop could only end in that k's budget
-    refusal, which is raised at once.
+    Before the scan, a binary search over the same bit lengths finds the
+    least k <= TAIL_K_CAP whose R_k breaks the budget, k_over; the bit length
+    is nondecreasing in k, so the scan is refused exactly when it reaches
+    k_over.
+
+    The scan over k = 0, 1, 2, ... can end only at a class that locks, or at
+    a refusal: at the first k over the bit budget, or at TAIL_K_CAP.  Both
+    ``locks(k)`` (a lower bound on k and one on p_(k+1)) and the bit length
+    of R_k^L are nondecreasing in k.  So no class below
+
+        k_lock = min(least k with locks(k), least k over budget, TAIL_K_CAP)
+
+    ends the scan or is refused, and the scan reaches k_lock whatever those
+    classes hold.  When k_lock = k_over (no class below k_over locks), the
+    refusal is raised at once, before any primorial is built.  k_lock is read
+    off the prime sieve, which grows no further than the scan from k = 0
+    would grow it, and the scan starts there, with primorial(k_lock)^L built
+    once by a product tree.  A class below k_lock
+    matters only as the last violating class, that is when nothing at or
+    above k_lock violates; the scan then stops at k_lock itself (it locks and
+    does not violate), and only then are the classes below searched,
+    downward from k_lock - 1, for the first that violates.  Answers,
+    refusals and their order are those of the scan from k = 0.
 
     Returns (upper, k_end): ``upper`` is a certified integer above every
     violating d (1 if none exist), the ceiling of R_k at the last violating k,
-    since R_k is nondecreasing in k; ``k_end`` is the class the loop stopped at,
-    and no d of a larger omega can violate.
+    since R_k is nondecreasing in k; ``k_end`` is the class the scan stopped
+    at, and no d of a larger omega can violate.
     """
     L, dL, dpL = _scaled_exponents(params)
     D = params.D
     budget = THRESHOLD_BIT_BUDGET * L
     prime_floor = 3 * 2 ** -(-dpL // L)  # >= e * 2^delta', locks the induction
+    k_floor = max(0, -(-dL // L) - 1)  # least k with (k+1)*L >= delta*L
 
     def bits(k: int) -> int:
         return (max(k + 1, D) ** dL).bit_length() + (k + 1) * dpL
 
     def locks(k: int) -> bool:
-        return (k + 1) * L >= dL and nth_prime(k + 1) >= prime_floor
+        return k >= k_floor and nth_prime(k + 1) >= prime_floor
 
+    def violates(k: int, primorial_L: int) -> bool:
+        return primorial_L >> (k + 1) * dpL < max(k + 1, D) ** dL
+
+    k_over = TAIL_K_CAP + 1  # the least k over the budget, when one is <= TAIL_K_CAP
     if bits(TAIL_K_CAP) > budget:
         lo, hi = 0, TAIL_K_CAP
         while lo < hi:
@@ -304,17 +336,16 @@ def _violation_region(params: BoundParams) -> tuple[int, int]:
                 hi = mid
             else:
                 lo = mid + 1
-        if not locks(lo):
-            raise _budget_error()
+        k_over = lo
+    k = min(k_over, TAIL_K_CAP)
+    if k_floor < k:
+        k = max(k_floor, prime_index_at_least(prime_floor, k) - 1)
+    if k == k_over:
+        raise _budget_error()
+    primorial_L = primorial(k) ** L
     last_bad = -1
-    primorial_L = 1
-    k = 0
     while True:
-        a = max(k + 1, D) ** dL
-        e = (k + 1) * dpL
-        if a.bit_length() + e > budget:
-            raise _budget_error()
-        if primorial_L >> e < a:
+        if violates(k, primorial_L):
             last_bad = k
         elif locks(k):
             break
@@ -323,7 +354,15 @@ def _violation_region(params: BoundParams) -> tuple[int, int]:
                 "primorial tail scan exceeded %d primes" % TAIL_K_CAP, required=k
             )
         k += 1
+        if k == k_over:
+            raise _budget_error()
         primorial_L *= nth_prime(k) ** L
+    below = k
+    while last_bad < 0 and below > 0:
+        primorial_L //= nth_prime(below) ** L
+        below -= 1
+        if violates(below, primorial_L):
+            last_bad = below
     if last_bad < 0:
         return 1, k
     return ceil_root_fraction(_kanold_rhs_powL(last_bad, D, dL, dpL), 1, L), k

@@ -15,6 +15,7 @@ be *verified* rather than assumed.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -192,6 +193,31 @@ def nth_prime(x: int) -> int:
             bound = 15
         _extend_sieve(max(bound, 2 * _SIEVE_LIMIT))
     return _PRIMES[x - 1]
+
+
+def prime_index_at_least(n: int, index_cap: int) -> int:
+    """The least j with p_j >= n, or index_cap + 1 if p_index_cap < n.
+
+    The sieve grows by the steps that nth_prime(1), nth_prime(2), ... take,
+    and only until it holds a prime >= n or the first index_cap primes.
+    """
+    while _PRIMES[-1] < n and len(_PRIMES) < index_cap:
+        nth_prime(len(_PRIMES) + 1)
+    return min(bisect_left(_PRIMES, n), index_cap) + 1
+
+
+def primorial(k: int) -> int:
+    """p_1 * ... * p_k, multiplied as a balanced product tree."""
+    if k:
+        nth_prime(k)
+    return _product(_PRIMES, 0, k)
+
+
+def _product(xs: list[int], lo: int, hi: int) -> int:
+    if hi - lo <= 16:
+        return math.prod(xs[lo:hi])
+    mid = (lo + hi) // 2
+    return _product(xs, lo, mid) * _product(xs, mid, hi)
 
 
 def prime_upper(x: int) -> int:

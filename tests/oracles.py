@@ -3,7 +3,8 @@
 These deliberately recompute everything from definitions with different
 algorithms than the library (gcd scans instead of factor sieves, a fresh
 Eratosthenes sieve instead of the cached incremental one), so agreement is
-meaningful.  The threshold certificate's, the elimination's, the matrix-unit check's,
+meaningful.  The threshold certificate's (two: the R_k list and the
+class-by-class scan), the elimination's, the matrix-unit check's,
 the group closure's, the orbit-density report's and the torsion-coset closure's and witness's
 references are the library's earlier, direct algorithms
 instead, and so are the Fraction references of the rational kernels and of
@@ -21,6 +22,7 @@ from operator import mul
 
 import numpy as np
 
+from torsionlab import bounds
 from torsionlab.bounds import (
     TAIL_K_CAP,
     THRESHOLD_BIT_BUDGET,
@@ -184,6 +186,84 @@ def final_delta_by_rk_list(params) -> int:
     else:
         searched = upper
     return max(searched, closed_form_threshold(params))
+
+
+# --- threshold certificate: the class-by-class scan ------------------------------------
+#
+# ``bounds._violation_region`` as it was before it started at the first class
+# that can lock: every omega-class from k = 0 up is tested, with the primorial
+# grown by one prime per class.  The body is unchanged; only bounds' private
+# helpers are reached through the module.  The caps are this module's names, so
+# a test that patches a cap patches it here too.
+
+
+def violation_region_by_class_scan(params) -> tuple[int, int]:
+    """(upper, k_end) of the omega-class scan from k = 0 (see the section note)."""
+    L, dL, dpL = bounds._scaled_exponents(params)
+    D = params.D
+    budget = THRESHOLD_BIT_BUDGET * L
+    prime_floor = 3 * 2 ** -(-dpL // L)  # >= e * 2^delta', locks the induction
+
+    def bits(k: int) -> int:
+        return (max(k + 1, D) ** dL).bit_length() + (k + 1) * dpL
+
+    def locks(k: int) -> bool:
+        return (k + 1) * L >= dL and nth_prime(k + 1) >= prime_floor
+
+    if bits(TAIL_K_CAP) > budget:
+        lo, hi = 0, TAIL_K_CAP
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if bits(mid) > budget:
+                hi = mid
+            else:
+                lo = mid + 1
+        if not locks(lo):
+            raise bounds._budget_error()
+    last_bad = -1
+    primorial_L = 1
+    k = 0
+    while True:
+        a = max(k + 1, D) ** dL
+        e = (k + 1) * dpL
+        if a.bit_length() + e > budget:
+            raise bounds._budget_error()
+        if primorial_L >> e < a:
+            last_bad = k
+        elif locks(k):
+            break
+        if k >= TAIL_K_CAP:
+            raise CapExceededError(
+                "primorial tail scan exceeded %d primes" % TAIL_K_CAP, required=k
+            )
+        k += 1
+        primorial_L *= nth_prime(k) ** L
+    if last_bad < 0:
+        return 1, k
+    return ceil_root_fraction(bounds._kanold_rhs_powL(last_bad, D, dL, dpL), 1, L), k
+
+
+# --- decimal output: reading a decimal string back by halves ---------------------------
+
+
+def int_from_decimal_by_halves(s: str, leaf: int = 2000) -> int:
+    """int(s) for a string of decimal digits with an optional leading '-',
+    read as hi * 10^len(lo) + lo with lo the second half of the digits, so
+    that a string of a million digits reads back in about a second."""
+    negative = s.startswith("-")
+    digits = s[negative:]
+    powers = {}
+
+    def read(lo: int, hi: int) -> int:
+        if hi - lo <= leaf:
+            return int(digits[lo:hi])
+        mid = (lo + hi) // 2
+        if hi - mid not in powers:
+            powers[hi - mid] = 10 ** (hi - mid)
+        return read(lo, mid) * powers[hi - mid] + read(mid, hi)
+
+    value = read(0, len(digits))
+    return -value if negative else value
 
 
 # --- exact linear algebra and the matrix-unit check: the Fraction references ----------

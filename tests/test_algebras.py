@@ -2,7 +2,7 @@ import contextlib
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -24,12 +24,14 @@ from oracles import (
     two_sided_unit_by_solve,
     zeros,
 )
-from torsionlab import linalg
+from torsionlab import algebras, linalg
 from torsionlab.algebras import (
+    ALGEBRA_DIM_CAP,
     AlgebraElement,
     AlgebraEmbedding,
     Representation,
     SplitSemisimpleAlgebra,
+    _check_homomorphism,
     _idempotent_generator,
     _span_elements,
     column_span,
@@ -109,6 +111,38 @@ def test_standard_representation_images_match_the_fraction_construction(blocks):
     images = standard_representation(A).images
     assert images == standard_representation_images_by_fractions(A)
     assert all(type(x) is Fraction for m in images for row in m for x in row)
+
+
+def _block_tuples():
+    """Every block tuple of dimension <= ALGEBRA_DIM_CAP, in every order, and
+    every tuple of at most three blocks of size <= 3 (the c7 and membership
+    shapes)."""
+    def within(room):
+        yield ()
+        for n in range(1, isqrt(room) + 1):
+            for rest in within(room - n * n):
+                yield (n,) + rest
+
+    small = (t for k in (1, 2, 3) for t in itertools.product((1, 2, 3), repeat=k))
+    return sorted((set(within(ALGEBRA_DIM_CAP)) - {()}) | set(small))
+
+
+def test_standard_representation_is_the_checked_diagonal_embedding(monkeypatch):
+    # the trusted placement makes no check; diagonal_embedding places the
+    # same images and checks them in full, and so does this test
+    shapes = _block_tuples()
+    assert len(shapes) == 420 + 11  # 28 of the 39 small tuples fit the cap
+    checked = []
+    monkeypatch.setattr(algebras, "_check_homomorphism",
+                        lambda *args: checked.append(args) or _check_homomorphism(*args))
+    reps = [standard_representation(SplitSemisimpleAlgebra(blocks)) for blocks in shapes]
+    assert checked == []
+    for blocks, rep in zip(shapes, reps):
+        A, target = rep.algebra, SplitSemisimpleAlgebra((sum(blocks),))
+        assert A.blocks == blocks and rep._emb.target == target
+        assert rep._emb.images == diagonal_embedding(A, target, [list(range(len(blocks)))]).images
+        _check_homomorphism(rep._emb, "unit", "multiplicative", "injective")
+    assert len(checked) == len(shapes)
 
 
 def scalars(*xs):

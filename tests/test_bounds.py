@@ -1,5 +1,6 @@
 import hashlib
 import math
+import signal
 from fractions import Fraction
 
 import pytest
@@ -18,11 +19,11 @@ from torsionlab.bounds import (
     threshold_inequalities_hold,
     x_value,
 )
-from torsionlab import bounds
+from torsionlab import bounds, integers
 from torsionlab.errors import CapExceededError, InternalCheckError, ValidationError
 from torsionlab.integers import factorize, jacobsthal, nth_prime
 
-from oracles import final_delta_by_rk_list, nth_prime_by_sieve
+from oracles import final_delta_by_rk_list, nth_prime_by_sieve, violation_region_by_class_scan
 
 
 def P(D, Delta, c, d=1, p=0, **kw):
@@ -261,12 +262,16 @@ def test_final_delta_refusals_match_the_rk_list_reference(monkeypatch, budget):
 
 def test_over_budget_region_is_refused_before_the_loop(monkeypatch):
     # (2, 3, 3) breaks the budget near k = 19 000, where the lock prime 3 * 2^108
-    # is out of reach: one nth_prime lookup, no primorial
-    looked_up = []
-    monkeypatch.setattr(bounds, "nth_prime", lambda k: looked_up.append(k) or nth_prime(k))
+    # is out of reach: one sieve query for the lock prime, no class scanned,
+    # no primorial
+    calls = []
+    for name in ("nth_prime", "prime_index_at_least", "primorial"):
+        fn = getattr(bounds, name)
+        monkeypatch.setattr(bounds, name,
+                            lambda *a, name=name, fn=fn: calls.append(name) or fn(*a))
     with pytest.raises(CapExceededError, match="2097152-bit budget"):
         final_delta(P(2, 3, 3))
-    assert len(looked_up) == 1
+    assert calls == ["prime_index_at_least"]
 
 
 def test_final_delta_pin_10_2_2():
@@ -276,6 +281,111 @@ def test_final_delta_pin_10_2_2():
     assert hashlib.sha256(b"%x" % v).hexdigest() == (
         "114544c514e04f46d599051aced1b71f46466262ce579a2d148c1e248098b839"
     )
+
+
+def test_final_delta_pin_1_2_3():
+    # the violation region's upper end at k = 63471 (delta' = 18), recorded
+    # before the scan started at the first class that can lock
+    v = final_delta(P(1, 2, 3))
+    assert v.bit_length() == 1143422
+    assert hashlib.sha256(b"%x" % v).hexdigest() == (
+        "1d94e5315bb6aef0c96fba54cb2b4c5073c32a248e9f7fd2c391fb1e6fa62140"
+    )
+
+
+# --- the violation region against the class-by-class scan --------------------
+
+
+class _OverTime(Exception):
+    pass
+
+
+def _region_outcome(fn, params):
+    try:
+        return ("answer",) + fn(params)
+    except CapExceededError as exc:
+        return type(exc).__name__, str(exc), exc.required
+
+
+def _reference_outcome(params, cpu_seconds):
+    """The class scan's outcome, or None once it has run for cpu_seconds."""
+    def expire(signum, frame):
+        raise _OverTime
+
+    previous = signal.signal(signal.SIGPROF, expire)
+    signal.setitimer(signal.ITIMER_PROF, cpu_seconds)
+    try:
+        return _region_outcome(violation_region_by_class_scan, params)
+    except _OverTime:
+        return None
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, 0)
+        signal.signal(signal.SIGPROF, previous)
+
+
+def _compare_regions(Ds, cpu_seconds=0.25):
+    """Compare on D in Ds, Delta 0..4, c 1..3 and three eps; the shapes the
+    reference cannot finish in cpu_seconds (it scans one class at a time)
+    are not compared.  R_k grows with D, so the reference scans at least as
+    many classes at a larger D, and is not run there once it has run out of
+    time.  Returns the outcomes compared."""
+    outcomes = []
+    for Delta in range(5):
+        for c in (1, 2, 3):
+            for eps in (Fraction(1, 2), Fraction(1, 3), Fraction(1)):
+                for D in sorted(Ds):
+                    params = P(D, Delta, c, eps_slack=eps)
+                    expected = _reference_outcome(params, cpu_seconds)
+                    if expected is None:
+                        break
+                    got = _region_outcome(bounds._violation_region, params)
+                    assert got == expected, (D, Delta, c, eps)
+                    outcomes.append(expected)
+    return outcomes
+
+
+def test_violation_region_matches_the_class_scan():
+    outcomes = _compare_regions(range(1, 13))
+    # only (D, 2, 3, 1/2), 63 472 classes, is too slow for the reference; the
+    # next slowest take about 0.1 CPU s on a 2-vCPU VM
+    assert len(outcomes) >= 540 - 12
+    assert {o[0] for o in outcomes} == {"answer", "CapExceededError"}
+    # Delta = 0 at D = 2 violates only below the first class that locks
+    assert bounds._violation_region(P(2, 0, 1)) == (2, 1)
+
+
+def test_violation_region_refusals_match_the_class_scan(monkeypatch):
+    # small caps send shapes to every exit: the refusal before the scan
+    # (budget or tail cap below the first lock), the budget and the tail cap
+    # met inside the scan, and answers; under a 1-bit budget, (1, 0, c) is
+    # refused at its first lock (k = 1), which does not violate
+    import oracles
+
+    messages = set()
+    for budget, tail_cap in [(1, 100000), (64, 100000), (512, 100000), (1 << 16, 100000),
+                             (1 << 21, 10), (1 << 21, 60), (4096, 1000)]:
+        for module in (bounds, oracles):
+            monkeypatch.setattr(module, "THRESHOLD_BIT_BUDGET", budget)
+            monkeypatch.setattr(module, "TAIL_K_CAP", tail_cap)
+        messages.update(o[1] if o[0] != "answer" else "answer"
+                        for o in _compare_regions((1, 2, 5, 12)))
+    assert "answer" in messages
+    assert any(m.endswith("-bit budget") for m in messages)
+    assert {"primorial tail scan exceeded 10 primes",
+            "primorial tail scan exceeded 60 primes"} <= messages
+
+
+@pytest.mark.parametrize("shape", [(10, 2, 2, Fraction(1, 2)), (1, 2, 3, Fraction(1, 3)),
+                                   (1, 2, 1, Fraction(1)), (2, 0, 1, Fraction(1, 2)),
+                                   (2, 3, 3, Fraction(1, 2))])
+def test_violation_region_sieves_no_further_than_the_class_scan(monkeypatch, shape):
+    limits = []
+    for fn in (violation_region_by_class_scan, bounds._violation_region):
+        monkeypatch.setattr(integers, "_PRIMES", [2, 3, 5, 7, 11, 13])
+        monkeypatch.setattr(integers, "_SIEVE_LIMIT", 14)
+        _region_outcome(fn, P(*shape[:3], eps_slack=shape[3]))
+        limits.append(integers._SIEVE_LIMIT)
+    assert limits[1] <= limits[0]
 
 
 def test_iterate_past_the_bit_budget_is_refused_before_it_is_built():

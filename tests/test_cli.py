@@ -647,6 +647,18 @@ def test_delta_bound_past_the_bit_budget_fails_fast(D, Delta, c):
     assert len(lines) == 1 and lines[0].startswith("error: cap-exceeded: ")
 
 
+def test_delta_bound_1_2_3_answers_within_two_cpu_seconds():
+    # the 1 143 422-bit threshold: the scan from the first class that can lock
+    # and the decimal output by binary splitting; stdout recorded before both
+    import hashlib
+
+    proc = _limited_child(["delta-bound", "--D", "1", "--Delta", "2", "--c", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "c487bff74860d244410a335560456857bb029e35ed13c53d8114eb8a8f3110e2"
+    )
+
+
 def _unit(blocks, bi, i, j):
     return [[[int((k, a, b) == (bi, i, j)) for b in range(n)] for a in range(n)]
             for k, n in enumerate(blocks)]

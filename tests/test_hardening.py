@@ -2,14 +2,17 @@
 and property tests for the exact-arithmetic helpers they rely on."""
 
 import itertools
+import random
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    int_from_decimal_by_halves,
     nullspace_by_fractions,
     primitive_rows,
     rref_by_fractions,
@@ -26,6 +29,7 @@ from torsionlab.cosets import (
     special_closure,
 )
 from torsionlab.integers import nth_prime, prime_upper
+from torsionlab.jsonio import DECIMAL_SPLIT_BITS, decimal_str
 from torsionlab.linalg import (
     ceil_root,
     ceil_root_fraction,
@@ -41,6 +45,45 @@ from torsionlab.linalg import (
     span_leq,
     span_points,
 )
+
+
+# --- decimal output -------------------------------------------------------------
+
+_STR_CHECKED_BITS = 1 << 17  # str() itself takes seconds far above this
+_SWITCH = DECIMAL_SPLIT_BITS
+
+
+@settings(max_examples=60)
+@given(st.one_of(st.integers(0, _STR_CHECKED_BITS),
+                 st.sampled_from((_SWITCH - 1, _SWITCH, _SWITCH + 1))),
+       st.integers(0, 2 ** 32), st.booleans())
+@example(0, 0, False)
+@example(_SWITCH - 1, 1, True)
+@example(_SWITCH, 2, False)
+@example(_SWITCH + 1, 3, True)
+@example(1 << 21, 4, False)
+@example(1 << 21, 5, True)
+def test_decimal_str_is_str(bits, seed, negative):
+    # a canonical decimal string (no leading zero, '-' exactly for n < 0)
+    # that reads back as n is str(n); up to 2^17 bits str(n) is also asked.
+    # decimal_str runs under the interpreter's default digit limit.
+    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+    if negative:
+        n = -n
+    assert n.bit_length() == bits
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        s = decimal_str(n)
+        sys.set_int_max_str_digits(0)
+        if bits <= _STR_CHECKED_BITS:
+            assert s == str(n)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    digits = s[1:] if negative and n else s
+    assert s.startswith("-") == (n < 0)
+    assert digits.isdigit() and digits.isascii() and (digits == "0" or digits[0] != "0")
+    assert int_from_decimal_by_halves(s) == n
 
 
 # --- integer roots -----------------------------------------------------------

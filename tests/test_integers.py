@@ -16,9 +16,12 @@ from torsionlab.integers import (
     jacobsthal_bounds,
     minimal_coprime_shift,
     nth_prime,
+    prime_index_at_least,
     prime_upper,
+    primorial,
     squarefree_quotient,
 )
+from torsionlab import integers
 
 from oracles import (
     brute_min_coprime_shift,
@@ -105,6 +108,35 @@ def test_nth_prime_examples():
 def test_nth_prime_against_sieve():
     for x in range(1, 500):
         assert nth_prime(x) == nth_prime_by_sieve(x)
+
+
+def test_primorial_and_prime_index_against_sieve():
+    primes = [nth_prime_by_sieve(x) for x in range(1, 3001)]
+    assert [primorial(k) for k in (0, 1, 2, 5)] == [1, 2, 6, 2310]
+    assert primorial(3000) == math.prod(primes)
+    for n in (0, 2, 3, 4, 100, 7919, 7920, primes[-1]):
+        j = next(i for i, p in enumerate(primes, 1) if p >= n)
+        assert prime_index_at_least(n, 3000) == j
+        assert prime_index_at_least(n, j - 1) == j  # past the cap
+    assert prime_index_at_least(primes[-1] + 1, 3000) == 3001
+
+
+def _fresh_sieve(monkeypatch):
+    monkeypatch.setattr(integers, "_PRIMES", [2, 3, 5, 7, 11, 13])
+    monkeypatch.setattr(integers, "_SIEVE_LIMIT", 14)
+
+
+def test_prime_index_sieves_no_further_than_nth_prime_in_turn(monkeypatch):
+    # a prime out of reach stops the sieve at the cap, and one in reach at
+    # the first step of nth_prime(1), nth_prime(2), ... that holds it
+    for n, cap, reach in [(10 ** 9, 500, 500), (7920, 5000, 1001)]:
+        _fresh_sieve(monkeypatch)
+        for x in range(1, reach + 1):
+            nth_prime(x)
+        limit = integers._SIEVE_LIMIT
+        _fresh_sieve(monkeypatch)
+        prime_index_at_least(n, cap)
+        assert integers._SIEVE_LIMIT == limit
 
 
 def test_nth_prime_rejects_zero():
