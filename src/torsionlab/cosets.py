@@ -18,7 +18,7 @@ from operator import or_
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
 from .integers import factorize
-from .linalg import Memo, free_summand_rows, smith_normal_form, span_points
+from .linalg import Memo, smith_normal_form, span_points
 
 #: subgroup/point enumeration refuses to touch ambient groups bigger than this
 AMBIENT_ORDER_CAP = 20736  # 12^4
@@ -90,17 +90,17 @@ class ModelSubvariety:
     There are two ways in.  The public constructor validates: it reduces the
     basis and requires every elementary divisor of the basis matrix's integer
     Smith normal form to be coprime to N, which is equivalent to the rows
-    generating a free rank-2b summand.  Catalog summands are built through
-    ``_from_catalog``, trusting ``_catalog`` to have checked them mod p:
-    for each prime p | N the rows reduced mod p are the identity on the
-    pivot columns of that prime's echelon basis, so their rank mod p is 2b,
-    which holds for every p | N exactly when every elementary divisor is
-    prime to N.  Row i must reduce to e_i whatever the other rows are, so
+    generating a free rank-2b summand.  Built summands of positive rank come
+    through ``_from_catalog``, trusting ``_summand_lists`` to have checked
+    them mod p: for each prime p | N the rows reduced mod p are the identity
+    on the pivot columns of that prime's echelon basis, so their rank mod p
+    is 2b, which holds for every p | N exactly when every elementary divisor
+    is prime to N.  Row i must reduce to e_i whatever the other rows are, so
     the check runs once per position, on its list of row choices.
-    Membership and coset order read a point's
-    quotient coordinates (``_quotient``) through the SNF column transform V:
-    the public constructor keeps V from its freeness check's Smith form, a
-    catalog summand builds V on its first query and keeps it.
+    Membership and coset order read a point's quotient coordinates
+    (``_quotient``) through the SNF column transform V: the public
+    constructor keeps V from its freeness check's Smith form, a built
+    summand makes V on its first query and keeps it.
     """
 
     ambient: ModelAmbient
@@ -127,7 +127,7 @@ class ModelSubvariety:
 
     @classmethod
     def _from_catalog(cls, ambient: ModelAmbient, basis) -> "ModelSubvariety":
-        """A catalog summand, trusted: ``_catalog`` checked its rows."""
+        """A built summand, trusted: ``_summand_lists`` checked its rows."""
         self = object.__new__(cls)
         object.__setattr__(self, "ambient", ambient)
         object.__setattr__(self, "basis", basis)
@@ -248,16 +248,12 @@ def degree_pushforward(deg_v: int, dim_v: int, stab_torsion: int, q: int) -> int
 
 
 # ---------------------------------------------------------------------------
-# direct-summand catalogs
+# direct summands
 
 
-#: (N, g, rank) -> (catalog, index); built by _catalog, read through
-#: enumerate_summands and summands_within
-_CATALOGS: dict = {}
-
-#: no summand catalog larger than this is built; its size is counted first.
-#: The largest catalog an answered input needs, rank 2 of (Z/5)^6, holds
-#: 508 431 summands; rank 4 of (Z/2)^10 holds 53.7M and of (Z/3)^8 75.9M.
+#: no more summands than this are built, counted first: by the closed form in
+#: ``enumerate_summands``, by what the set admits in ``summands_within``.  Rank
+#: 2 of (Z/5)^6 holds 508 431; rank 4 of (Z/2)^10 holds 53.7M, of (Z/3)^8 75.9M.
 CATALOG_SIZE_CAP = 1 << 20
 
 
@@ -265,18 +261,32 @@ def catalog_size(N: int, n: int, r: int) -> int:
     """Number of free rank-r direct summands of (Z/N)^n (0 <= r <= n): the
     product over p^e || N of the Gaussian binomial [n r]_p times
     p^((e-1) r (n-r)).  N = 1 counts the zero summand alone."""
-    return _summand_count(factorize(N).factors, n, r)
-
-
-def _summand_count(fact, n: int, r: int) -> int:
     out = 1
-    for p, e in fact:
+    for p, e in factorize(N).factors:
         num = den = 1
         for i in range(r):
             num *= p ** (n - i) - 1
             den *= p ** (i + 1) - 1
         out *= num // den * p ** ((e - 1) * r * (n - r))
     return out
+
+
+def _row_choices(p: int, rows, n: int, r: int):
+    """(P, lists) per pivot set P of size r: lists[i] holds the rows of
+    ``rows`` (vectors mod p^e, ascending) whose first column prime to p is
+    P[i], whose entry there is 1 and which are 0 at the other pivots; a P
+    with an empty list is skipped.  Over all of (Z/p^e)^n these are the
+    lists of ``linalg.free_summand_rows``, in its order."""
+    by_lead = [[] for _ in range(n)]  # P[i] -> (row, mask of its nonzero columns)
+    for row in rows:
+        lead = next((j for j, x in enumerate(row) if x % p), n)
+        if lead < n and row[lead] == 1:
+            by_lead[lead].append((row, sum(1 << j for j, x in enumerate(row) if x)))
+    for pivots in itertools.combinations(range(n), r):
+        mask = sum(1 << c for c in pivots)
+        lists = [[row for row, nz in by_lead[c] if not nz & mask & ~(1 << c)] for c in pivots]
+        if all(lists):
+            yield pivots, lists
 
 
 def _check_free(i: int, rows, pivots) -> None:
@@ -291,12 +301,12 @@ def _check_free(i: int, rows, pivots) -> None:
                 )
 
 
-def _position_lists(parts, sums):
+def _position_lists(parts, sums, keep=None):
     """(pivots, lists) per basis of the primes before the last of ``parts``
     (p, {cols: CRT-scaled rows per position}) and per pivot set of the last:
     lists[i] holds the sums ``sums[a][b]`` of the basis's row i, a, with each
-    choice b of the last prime at position i.  A list depends on (i, a,
-    pivots) alone, so it is built and checked mod every prime once."""
+    choice b of the last prime at position i that ``keep`` admits.  A list
+    depends on (i, a, pivots) alone: it is built and checked mod p once."""
     *outer, (p, choices) = parts
     heads = ((pivots, basis) for pivots, lists in _position_lists(outer, sums)
              for basis in itertools.product(*lists)) if outer else [((), ())]
@@ -305,6 +315,7 @@ def _position_lists(parts, sums):
         i, a, pivots = key
         rows = choices[pivots[-1][1]][i]
         rows = list(map(sums[a].__getitem__, rows)) if a else rows
+        rows = list(filter(keep, rows)) if keep else rows
         _check_free(i, rows, pivots)
         return rows
 
@@ -316,82 +327,60 @@ def _position_lists(parts, sums):
                            for i, a in enumerate(basis or [()] * len(positions))]
 
 
-def _catalog(ambient: ModelAmbient, rank: int, cap: int, reads=()):
-    """The rank-``rank`` catalog and its index, from the memo or built.
+def _summand_lists(ambient: ModelAmbient, rank: int, allowed=None):
+    """The builder: (pivots, lists) whose products, in order, are the free
+    rank-``rank`` summands (rank > 0) with every basis row in ``allowed``, or
+    in the whole ambient for ``None``.  Per p^e || N the rows mod p^e (all,
+    or the reductions of ``allowed``, as a row in ``allowed`` reduces to one)
+    are sorted into position lists (``_row_choices``) and scaled by their CRT
+    idempotent once; ``_position_lists`` combines them, first prime
+    outermost, drops the combined rows outside ``allowed`` and checks every
+    row before a caller takes the product."""
+    N, n = ambient.N, ambient.rank
+    parts = []
+    for p, e in factorize(N).factors:  # N = 1 is the trivial group: no parts
+        q = p ** e
+        e_q = N // q * pow(N // q, -1, q) % N
+        scaled = Memo(lambda row, e_q=e_q: tuple([e_q * x % N for x in row]))
+        rows = (itertools.product(range(q), repeat=n) if allowed is None
+                else sorted({tuple([x % q for x in v]) for v in allowed}))
+        parts.append((p, {cols: [list(map(scaled.__getitem__, rows)) for rows in positions]
+                          for cols, positions in _row_choices(p, rows, n, rank)}))
+    if parts:
+        sums = Memo(lambda a: Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
+        keep = None if allowed is None else allowed.__contains__
+        yield from _position_lists(parts, sums, keep)
 
-    An ambient over ``cap`` is refused first, so a smaller cap refuses a
-    cached catalog.  A catalog not built yet is refused if its rank is
-    invalid, or if it or any catalog of a rank in ``reads`` (the others the
-    caller goes on to read) holds more than ``CATALOG_SIZE_CAP`` summands by
-    the closed form, so that a refused call builds nothing.
 
-    A positive-rank catalog is the product of the per-prime catalogs, first
-    prime outermost, built position by position (``_position_lists``): each
-    per-prime row is scaled by its CRT idempotent once and each CRT sum of
-    two rows is built once, so each row is held once.  Every row of each
-    position's list is checked (``_check_free``) before the product over the
-    lists is taken, which is exact: row i of every basis lies in list i and,
-    no list being empty, every row of list i lies in some basis.  Position 0
-    varies slowest in a product, so each of its rows leads one index run.
-    """
+def _check_ambient(ambient: ModelAmbient, cap: int) -> None:
     if ambient.order > cap:
         raise CapExceededError(
             "subgroup enumeration beyond ambient cap %d" % cap, required=ambient.order
         )
-    key = (ambient.N, ambient.g, rank)
-    if key in _CATALOGS:
-        return _CATALOGS[key]
-    if rank % 2 != 0 or rank > ambient.rank:
-        raise ValidationError("summand rank must be even and at most 2g")
-    N = ambient.N
-    fact = factorize(N).factors
-    for r in (rank, *reads):
-        size = _summand_count(fact, ambient.rank, r)
-        if size > CATALOG_SIZE_CAP:
-            raise CapExceededError(
-                "catalog of rank-%d summands of (Z/%d)^%d holds %d summands, beyond cap %d"
-                % (r, N, ambient.rank, size, CATALOG_SIZE_CAP),
-                required=size,
-            )
-    result: list[ModelSubvariety] = []
-    index: dict[Vector, list[ModelSubvariety]] = {}
-    if rank == 0:
-        result.append(ModelSubvariety(ambient, tuple()))
-        index[()] = result[:]
-    elif fact:  # N = 1 is the trivial group: no summand of positive rank
-        parts = []
-        for p, e in fact:
-            q = p ** e
-            e_q = N // q * pow(N // q, -1, q) % N
-            scaled = Memo(lambda row, e_q=e_q: tuple([e_q * x % N for x in row]))
-            parts.append((p, {cols: [list(map(scaled.__getitem__, rows)) for rows in positions]
-                              for cols, positions in free_summand_rows(q, p, ambient.rank, rank)}))
-        sums = Memo(lambda a: Memo(lambda b: tuple([(x + y) % N for x, y in zip(a, b)])))
-        for _, lists in _position_lists(parts, sums):
-            start, run = len(result), prod(map(len, lists[1:]))
-            result += [ModelSubvariety._from_catalog(ambient, basis)
-                       for basis in itertools.product(*lists)]
-            for row in lists[0]:
-                index.setdefault(row, []).extend(result[start:start + run])
-                start += run
-    _CATALOGS[key] = (result, index)
-    return result, index
 
 
 def enumerate_summands(
     ambient: ModelAmbient, rank: int, cap: int = AMBIENT_ORDER_CAP
 ) -> list[ModelSubvariety]:
-    """All direct summands of the ambient group isomorphic to (Z/N)^rank.
-
-    Each catalog is built once per (N, g, rank) and cached together with its
-    index, which maps a summand's first basis vector to the summands it
-    leads (the zero summand sits under the key ``()``); ``summands_within``
-    answers from the index instead of scanning the catalog.  The cap is
-    checked before the cache, so a smaller cap refuses a catalog an earlier
-    call built.  A catalog of more than ``CATALOG_SIZE_CAP`` summands, counted
-    by ``catalog_size``, is refused before it is built.
-    """
-    return _catalog(ambient, rank, cap)[0]
+    """All direct summands of the ambient group isomorphic to (Z/N)^rank, in
+    catalog order: the builder over the whole ambient, nothing kept between
+    calls.  An ambient over ``cap``, an invalid rank and a catalog of more
+    than ``CATALOG_SIZE_CAP`` summands (``catalog_size``) are refused first;
+    the zero summand comes from the public constructor."""
+    _check_ambient(ambient, cap)
+    if rank % 2 != 0 or rank > ambient.rank:
+        raise ValidationError("summand rank must be even and at most 2g")
+    size = catalog_size(ambient.N, ambient.rank, rank)
+    if size > CATALOG_SIZE_CAP:
+        raise CapExceededError(
+            "catalog of rank-%d summands of (Z/%d)^%d holds %d summands, beyond cap %d"
+            % (rank, ambient.N, ambient.rank, size, CATALOG_SIZE_CAP),
+            required=size,
+        )
+    if rank == 0:
+        return [ModelSubvariety(ambient, ())]
+    return [ModelSubvariety._from_catalog(ambient, basis) for _, lists in
+            _summand_lists(ambient, rank) for basis in itertools.product(*lists)]
 
 
 def all_summands(ambient: ModelAmbient, cap: int = AMBIENT_ORDER_CAP):
@@ -401,28 +390,28 @@ def all_summands(ambient: ModelAmbient, cap: int = AMBIENT_ORDER_CAP):
 
 def summands_within(ambient: ModelAmbient, allowed, max_order: int, cap: int = AMBIENT_ORDER_CAP):
     """Every summand of order at most ``max_order`` whose basis vectors all
-    lie in the set ``allowed``: ``all_summands`` filtered by order and basis,
-    zero summand included, but looked up by leading basis vector, so the
-    order is not the catalog's.  No catalog of a rank r with N^r above
-    ``max_order`` is built; the first one built counts every rank against
-    the caps, so a refusal does not depend on ``max_order``.
-    """
-    ranks = range(0, ambient.rank + 1, 2)
-    for rank in ranks:
+    lie in the set ``allowed``: the zero summand, then the builder's on
+    ``allowed``, rank by rank, each in catalog order.  Every list is built
+    and counted before a summand is made, and the call is refused where the
+    count passes ``CATALOG_SIZE_CAP`` (``required`` is the count reached), so
+    a refusal depends on the set."""
+    _check_ambient(ambient, cap)
+    if max_order < 1:
+        return
+    found, count = [], 1
+    for rank in range(2, ambient.rank + 1, 2):
         if ambient.N ** rank > max_order:
-            return
-        index = _catalog(ambient, rank, cap, ranks)[1]
-        if rank == 0:
-            yield from index[()]
-            continue
-        if len(allowed) < len(index):
-            led = (index[v] for v in allowed if v in index)
-        else:
-            led = (Bs for v, Bs in index.items() if v in allowed)
-        for Bs in led:
-            for B in Bs:
-                if all(v in allowed for v in B.basis[1:]):
-                    yield B
+            break
+        for _, lists in _summand_lists(ambient, rank, allowed):
+            count += prod(map(len, lists))
+            if count > CATALOG_SIZE_CAP:
+                raise CapExceededError(
+                    "summands of (Z/%d)^%d within the set number %d by rank %d, beyond cap %d"
+                    % (ambient.N, ambient.rank, count, rank, CATALOG_SIZE_CAP), required=count)
+            found.append(itertools.product(*lists))
+    yield ModelSubvariety(ambient, ())
+    for basis in itertools.chain(*found):
+        yield ModelSubvariety._from_catalog(ambient, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -487,6 +476,10 @@ def special_closure(
     which each uncovered mask failed.  It changes no answer: a result
     depends on (mask, budget) alone, and no cover within b blocks means
     none within fewer, so the first cover at the least depth is unchanged.
+    A node skips a block that covers no uncovered atom beyond what a failed
+    block at it covered: the rest it leaves contains a rest that failed, so
+    only failing branches are skipped.  The full target is one identity
+    summand.
     """
     if ambient.order > cap:
         raise CapExceededError(
@@ -504,8 +497,9 @@ def special_closure(
 
     # N = 1 has no summand of positive rank; the block search finds {0} + 0
     if ambient.N > 1 and len(target) == ambient.order:
-        full = enumerate_summands(ambient, ambient.rank, cap)[0]
-        return [TorsionCoset(ambient.zero(), full)]
+        n = ambient.rank
+        identity = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        return [TorsionCoset(ambient.zero(), ModelSubvariety(ambient, identity))]
 
     # candidate blocks fully inside the target, deduplicated by point set
     blocks: dict[frozenset, tuple[Vector, ModelSubvariety]] = {}
@@ -528,12 +522,14 @@ def special_closure(
         if budget == 0 or failed.get(uncovered, 0) >= budget:
             return None
         lowest = uncovered & -uncovered
+        tried = []  # what each block that failed here covered
         for mask, rep, B in choices:
-            if mask & lowest:
+            if mask & lowest and not any(not mask & uncovered & ~done for done in tried):
                 got = search(uncovered & ~mask, budget - 1)
                 if got is not None:
                     got.append((rep, B))
                     return got
+                tried.append(mask & uncovered)
         failed[uncovered] = budget
         return None
 

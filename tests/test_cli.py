@@ -463,27 +463,41 @@ def _point(n):
     return ",".join(["1"] + ["0"] * (n - 1))
 
 
-@pytest.mark.parametrize("argv, rank, ambient, size", [
+def _one_point_closure(N, g, total):
+    return ('{"N":%d,"c":1,"component_count":1,"components":[{"N":%d,"basis":[],"g":%d,'
+            '"order":%d,"point":[%s]}],"g":%d,"total_points":%d}\n'
+            % (N, N, g, N, _point(2 * g), g, total))
+
+
+#: all of (Z/2)^12, the set of the one refusal below
+_WHOLE_2_6 = ";".join(",".join(map(str, p)) for p in itertools.product(range(2), repeat=12))
+
+
+@pytest.mark.parametrize("argv, code, out", [
     (["special-closure", "--N", "2", "--g", "5", "--points", _point(10), "--c", "1"],
-     4, "(Z/2)^10", 53743987),
+     0, _one_point_closure(2, 5, 1)),
     (["special-closure", "--N", "3", "--g", "4", "--points", _point(8), "--c", "1"],
-     4, "(Z/3)^8", 75913222),
+     0, _one_point_closure(3, 4, 2)),
     (["special-closure", "--N", "2", "--g", "6", "--points", _point(12), "--c", "1"],
-     2, "(Z/2)^12", 2794155),
+     0, _one_point_closure(2, 6, 1)),
     (["keyprop-witness", "--N", "2", "--g", "5", "--set", _point(10), "--a", _point(10),
       "--c", "1", "--delta-cap", "5"],
-     4, "(Z/2)^10", 53743987),
+     0, '{"N":2,"alpha":[%s],"basis":[],"g":5,"order":2,"within_cap":true}\n' % _point(10)),
+    (["keyprop-witness", "--N", "2", "--g", "6", "--set", _WHOLE_2_6, "--a", _point(12),
+      "--c", "1", "--delta-cap", "5"],
+     2, "error: cap-exceeded: summands of (Z/2)^12 within the set number 1048577 by rank 2, "
+        "beyond cap 1048576 (required 1048577)\n"),
 ], ids=["special-closure-2-5", "special-closure-3-4", "special-closure-2-6",
-        "keyprop-witness-2-5"])
-def test_catalog_past_its_size_cap_is_refused_before_it_is_built(argv, rank, ambient, size):
-    # each was killed at 10 CPU s under 1 GiB while it built its catalogs; the
-    # refusal counts them by their closed form (0.2 CPU s on a 2-vCPU VM)
+        "keyprop-witness-2-5", "keyprop-witness-whole-2-6"])
+def test_catalog_past_its_size_cap_is_refused_before_it_is_built(argv, code, out):
+    # each was killed at 10 CPU s under 1 GiB while it built whole catalogs,
+    # then refused by their closed-form counts (0.2 CPU s on a 2-vCPU VM); a
+    # one-point input builds no catalog and answers from the zero summand.
+    # V = all of (Z/2)^12 admits every summand: its count passes the cap in
+    # the first pivot set of rank 2, and it is refused there
     proc = _limited_child(argv)
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines() == [
-        "error: cap-exceeded: catalog of rank-%d summands of %s holds %d summands, "
-        "beyond cap 1048576 (required %d)" % (rank, ambient, size, size)
-    ]
+    want = (code, out, "") if code == 0 else (code, "", out)
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 # the 16 points after 0 in product order: (0,0,0,0,0,1) ... (0,0,0,1,0,0)
@@ -514,8 +528,9 @@ _SIXTEEN = ";".join(",".join(map(str, p))
 ], ids=["4-3", "2-4", "4-3-sixteen-points"])
 def test_largest_catalogs_under_the_size_cap_still_answer(N, g, points, stdout):
     # one point reads the zero summand alone; the sixteen points make a
-    # 17-point target, so the 16-point summands of rank 2 (166 656 of them)
-    # are read: 1.0 CPU s on a 2-vCPU VM, 2.0 s when every rank was built
+    # 17-point target, whose difference set holds the basis of 19 of the
+    # 166 656 rank-2 summands, and only those are built: 0.16 CPU s on a
+    # 2-vCPU VM, 0.37 s when the whole rank-2 catalog was read
     proc = subprocess.run(
         [sys.executable, "-m", "torsionlab", "special-closure", "--N", str(N), "--g", str(g),
          "--points", points, "--c", "1"],
@@ -564,6 +579,62 @@ def test_cover_search_over_sixteen_single_point_atoms_answers():
         '"point":[0,0,0,0,1,1,0,0]},'
         '{"N":2,"basis":[],"g":4,"order":2,"point":[0,0,0,1,0,0,0,0]}'
         '],"g":4,"total_points":16}\n')
+
+
+def _thirty_two_point_closure(g):
+    """The stdout of special-closure on the 32 points after 0 in product
+    order of (Z/2)^(2g), g >= 3: the four rank-4 blocks through the last
+    coordinate that ``special_closure``'s tie-breaks pick, then e_(2g-5)."""
+    pad = [0] * (2 * g - 6)
+    top = [[0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 0, 1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]]
+    bases = [[row[:] for row in top] for _ in range(4)] + [top]
+    for i in range(4):
+        bases[i][i][5] = 0
+    comps = [{"N": 2, "basis": [pad + row for row in basis], "g": g, "order": 2,
+              "point": pad + [0, 0, 0, 0, 0, 1]} for basis in bases]
+    comps.append({"N": 2, "basis": [], "g": g, "order": 2, "point": pad + [1, 0, 0, 0, 0, 0]})
+    return json.dumps({"N": 2, "c": 1, "component_count": 6, "components": comps, "g": g,
+                       "total_points": 32}, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("g", [3, 5])
+def test_cover_search_over_thirty_two_single_point_atoms_answers(g):
+    # the 32 points after 0 in product order of (Z/2)^6 and (Z/2)^10: 32
+    # atoms and 1148 candidate blocks on (Z/2)^6.  Both were killed, on
+    # (Z/2)^6 at 40 CPU s and on (Z/2)^10 at 10 CPU s, until a node skipped
+    # the blocks that cover nothing beyond what a failed block covered;
+    # 0.3-0.4 CPU s each with it (2-vCPU VM)
+    points = ";".join(",".join(map(str, p))
+                      for p in list(itertools.product(range(2), repeat=2 * g))[1:33])
+    proc = _limited_child(["special-closure", "--N", "2", "--g", str(g), "--points", points,
+                           "--c", "1"], cpu_seconds=5)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", _thirty_two_point_closure(g))
+
+
+#: counts the summands within the whole of (Z/N)^(2g), every rank allowed:
+#: prints the count, or "refused" and the count the refusal reached
+_WHOLE_AMBIENT = """
+import sys
+from torsionlab.cosets import ModelAmbient, summands_within
+from torsionlab.errors import CapExceededError
+amb = ModelAmbient(int(sys.argv[1]), int(sys.argv[2]))
+try:
+    print(sum(1 for _ in summands_within(amb, set(amb.elements()), amb.order)))
+except CapExceededError as exc:
+    print("refused", exc.required)
+"""
+
+
+@pytest.mark.parametrize("N, g, out", [
+    (2, 5, "refused 16951468"), (2, 6, "refused 1048577"), (2, 7, "refused 16777217"),
+    (3, 4, "refused 43942982"), (5, 3, "1016864"),
+])
+def test_summands_within_the_whole_ambient_are_bounded(N, g, out):
+    # the cases that tests/test_cosets.py leaves to a child: each answers
+    # with every catalog, (Z/5)^6 with 2 x 508 431 + 2 summands, or is
+    # refused where its running count passes 2^20, before a summand is made
+    proc = _limited_child([str(N), str(g)], cpu_seconds=5, program=("-c", _WHOLE_AMBIENT))
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", out + "\n")
 
 
 #: runs special-closure cases through cli.main in one process: argv[1] is a

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from math import gcd
 
@@ -233,7 +234,7 @@ def test_enumerate_summands_distinct():
 
 def test_summand_cap_checked_before_cache():
     amb = ModelAmbient(3, 1)
-    assert len(enumerate_summands(amb, 2)) == 1  # builds and caches the catalog
+    assert len(enumerate_summands(amb, 2)) == 1  # nothing is kept: each call checks the cap
     with pytest.raises(CapExceededError) as exc:
         enumerate_summands(amb, 2, cap=8)
     assert exc.value.required == 9
@@ -242,15 +243,21 @@ def test_summand_cap_checked_before_cache():
     assert len(enumerate_summands(amb, 2, cap=9)) == 1
 
 
-# the finite-models benchmark ambients and the acceptance (c8) ambients
+# the finite-models benchmark ambients, the acceptance (c8) ambients, and
+# (10, 1), (30, 1) and (10, 2), where two or three primes are CRT-combined
 INDEX_AMBIENTS = sorted({
-    (3, 1), (4, 1), (5, 1), (6, 1), (8, 1), (9, 1), (12, 1),
-    (2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (12, 2),
+    (3, 1), (4, 1), (5, 1), (6, 1), (8, 1), (9, 1), (10, 1), (12, 1), (30, 1),
+    (2, 2), (3, 2), (4, 2), (6, 2), (8, 2), (10, 2), (12, 2),
 })
 
 
+@functools.lru_cache(maxsize=1)  # the parameters of one ambient run in a row
+def _catalogs(amb):
+    return list(all_summands(amb))
+
+
 def _brute_force_within(amb, allowed, max_order):
-    return [B for B in all_summands(amb)
+    return [B for B in _catalogs(amb)
             if B.order <= max_order and all(v in allowed for v in B.basis)]
 
 
@@ -288,6 +295,19 @@ def test_summand_index_matches_brute_force(N, g, max_order):
         want = sorted((len(B.basis), B.basis)
                       for B in _brute_force_within(amb, allowed, max_order))
         assert got == want
+
+
+def test_summands_within_the_seventeen_point_target_match_brute_force():
+    # the first 17 points in product order of (Z/4)^6: 26 summands have a
+    # basis in the target's difference set, the zero summand and 25 of the
+    # 166 656 of rank 2
+    amb = ModelAmbient(4, 3)
+    target = list(itertools.product(range(4), repeat=6))[:17]
+    allowed = {amb.add(x, amb.neg(y)) for x in target for y in target}
+    got = [B.basis for B in summands_within(amb, allowed, len(target))]
+    want = [B.basis for rank in (0, 2) for B in enumerate_summands(amb, rank)
+            if all(v in allowed for v in B.basis)]
+    assert sorted(got) == sorted(want) and len(want) == 26
 
 
 # --- closure ---------------------------------------------------------------------
@@ -504,7 +524,6 @@ def test_catalog_build_runs_no_smith_normal_form(monkeypatch):
         return real(mat)
 
     monkeypatch.setattr(cst, "smith_normal_form", counting)
-    monkeypatch.setattr(cst, "_CATALOGS", {})
     for N, g in ((12, 2), (8, 2), (5, 1)):
         list(all_summands(ModelAmbient(N, g)))
     assert calls == []
@@ -529,11 +548,11 @@ def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N, bad_p
     combined rows of that position mod ``bad_p`` on the position's own pivot
     column, whichever prime comes first and however late the bad row is
     reached."""
-    real = cst.free_summand_rows
+    real = cst._row_choices
 
-    def corrupted(q, p, n, r):
+    def corrupted(p, rows, n, r):
         out = [(pivots, [list(rows) for rows in positions])
-               for pivots, positions in real(q, p, n, r)]
+               for pivots, positions in real(p, rows, n, r)]
         if p == bad_p:
             slots = [(rows, k, c) for pivots, positions in out
                      for c, rows in zip(pivots, positions) for k in range(len(rows))]
@@ -543,8 +562,7 @@ def test_corrupted_per_prime_basis_fails_the_trusted_check(monkeypatch, N, bad_p
             rows[k] = tuple(row)
         return out
 
-    monkeypatch.setattr(cst, "free_summand_rows", corrupted)
-    monkeypatch.setattr(cst, "_CATALOGS", {})
+    monkeypatch.setattr(cst, "_row_choices", corrupted)
     with pytest.raises(InternalCheckError, match="not free mod %d" % bad_p):
         enumerate_summands(ModelAmbient(N, 2), 2)
 
@@ -613,17 +631,15 @@ def test_catalog_digest_is_pinned(N, g):
     assert h.hexdigest() == CATALOG_DIGESTS[N, g]
 
 
-def test_large_catalog_digests_are_pinned(monkeypatch):
-    """400 k summands; each catalog is dropped once hashed."""
+def test_large_catalog_digests_are_pinned():
+    """400 k summands."""
     import hashlib
 
-    monkeypatch.setattr(cst, "_CATALOGS", {})
     for (N, g, rank), digest in RANK_DIGESTS.items():
         h = hashlib.sha256()
         for B in enumerate_summands(ModelAmbient(N, g), rank):
             h.update(repr(B.basis).encode() + b"\n")
         assert h.hexdigest() == digest, (N, g, rank)
-        cst._CATALOGS.clear()
 
 
 @pytest.mark.parametrize("N, g", MODEL_AMBIENTS + EXTRA_AMBIENTS)
@@ -644,31 +660,27 @@ def test_catalog_size_matches_the_closed_form():
                 assert cst.catalog_size(N, n, r) == _catalog_size(N, n, r)
 
 
+def _no_build(*args):
+    raise AssertionError("no position list may be built")
+
+
 @pytest.mark.parametrize("N, g, rank, size", [(2, 5, 4, 53743987), (3, 4, 4, 75913222),
                                               (2, 6, 2, 2794155)])
 def test_catalog_past_the_size_cap_is_refused_before_anything_is_built(
         monkeypatch, N, g, rank, size):
-    def no_build(*args):
-        raise AssertionError("a refused catalog must not be enumerated")
-
-    monkeypatch.setattr(cst, "free_summand_rows", no_build)
-    monkeypatch.setattr(cst, "_CATALOGS", {})
+    monkeypatch.setattr(cst, "_row_choices", _no_build)
     amb = ModelAmbient(N, g)
     assert cst.catalog_size(N, amb.rank, rank) == size > cst.CATALOG_SIZE_CAP
     with pytest.raises(CapExceededError) as exc:
         enumerate_summands(amb, rank)
     assert exc.value.required == size
-    # summands_within checks every rank before it builds the first, even the
-    # ranks that max_order lets it skip
-    with pytest.raises(CapExceededError) as exc:
-        next(summands_within(amb, {amb.zero()}, 1))
-    assert exc.value.required == size and cst._CATALOGS == {}
+    # a one-point target needs no catalog: it answers from the zero summand
+    # alone, where the whole-catalog count refused it
+    assert [B.basis for B in summands_within(amb, {amb.zero()}, 1)] == [()]
     point = (1,) + (0,) * (amb.rank - 1)
-    with pytest.raises(CapExceededError):
-        special_closure(amb, [point], 1)
-    with pytest.raises(CapExceededError):
-        keyprop_witness(amb, lang_orbit(amb, point, 1), point, 1, 5)
-    assert cst._CATALOGS == {}
+    assert _closure_fields(special_closure(amb, [point], 1)) == [(point, (), N)]
+    assert _witness_fields(keyprop_witness(amb, lang_orbit(amb, point, 1), point, 1, 5)) == (
+        point, (), N, True)
 
 
 def test_size_cap_admits_the_largest_answered_catalog():
@@ -678,13 +690,12 @@ def test_size_cap_admits_the_largest_answered_catalog():
 
 
 def test_one_point_closure_builds_only_the_zero_summand(monkeypatch):
-    # a 4-point orbit holds no coset of a 25-point summand, so ranks 2 and 4
-    # of (Z/5)^6 (508 431 summands each) are never built
-    monkeypatch.setattr(cst, "_CATALOGS", {})
+    # a 4-point orbit holds no coset of a 25-point summand, so no position
+    # list of rank 2 or 4 of (Z/5)^6 (508 431 summands each) is built
+    monkeypatch.setattr(cst, "_row_choices", _no_build)
     out = special_closure(ModelAmbient(5, 3), [(1, 0, 0, 0, 0, 0)], 1)
     assert [(tc.point, tc.subgroup.basis, tc.order) for tc in out] == [
         ((1, 0, 0, 0, 0, 0), (), 5)]
-    assert list(cst._CATALOGS) == [(5, 3, 0)]
 
 
 # every (N, g) with N^(2g) <= 4096 and N > 1 (the trivial group has no
@@ -700,37 +711,53 @@ def _witness_fields(wit):
     return wit.alpha, wit.subgroup.basis, wit.order, wit.within_cap
 
 
+# sha256 of the fields of every call of the scan-oracle test on (Z/2)^10 and
+# (Z/2)^12, one ``repr`` line per call: the scan reads whole catalogs, and
+# rank 4 of (Z/2)^10 and rank 2 of (Z/2)^12 are past the size cap.  Recorded
+# when these ambients first answered, and checked then against the scan
+# oracles with the rank-2 summands inside the set found from pairs of its
+# vectors in reduced echelon form (``linalg.rref`` over F_2)
+PINNED_SCAN_FIELDS = {
+    (2, 5): "e78ef7a5fa9088a0ba0902648ec2bf3ca562fb1d2b5480c378cbc03687273673",
+    (2, 6): "653953bdf5934538b86163b843f92e9a68227147aac7989b109df49ee3fd044d",
+}
+
+
 @pytest.mark.parametrize("N, g", ORACLE_AMBIENTS)
 def test_stable_block_search_matches_the_scan_oracles(N, g):
     """special_closure and keyprop_witness against the per-(B, alpha) scans
     they replaced, field by field, for c = 1, 2, 3: 1-4 random points, the
     zero point, a coset of a small summand plus a point, and (c = 1) the full
-    target; keyprop_witness takes V = that target and a random a in S."""
+    target; keyprop_witness takes V = that target and a random a in S.  Where
+    some catalog is past the size cap the fields are compared to
+    ``PINNED_SCAN_FIELDS``, and the small summands are coordinate planes."""
+    import hashlib
     import random
 
     from oracles import keyprop_witness_by_scan, special_closure_by_scan
 
     amb = ModelAmbient(N, g)
     sizes = [cst.catalog_size(N, amb.rank, r) for r in range(0, amb.rank + 1, 2)]
-    oversized = next((s for s in sizes if s > cst.CATALOG_SIZE_CAP), None)
-    point = (1,) + (0,) * (amb.rank - 1)
-    if oversized is not None:  # refused whatever the points
-        with pytest.raises(CapExceededError) as exc:
-            special_closure(amb, [point], 1)
-        assert exc.value.required == oversized
-        with pytest.raises(CapExceededError) as exc:
-            keyprop_witness(amb, [point], point, 1, 5)
-        assert exc.value.required == oversized
-        return
+    pinned = hashlib.sha256() if max(sizes) > cst.CATALOG_SIZE_CAP else None
     rng = random.Random(1000 * N + g)
 
     def rand_point():
         return tuple(rng.randrange(N) for _ in range(amb.rank))
 
+    def check(got, scan):
+        if pinned:
+            pinned.update(repr(got).encode() + b"\n")
+        else:
+            assert got == scan()
+
     # positive-rank summands of at most 9 points: larger cosets make the
     # exact-cover search itself slow
-    small = [B for r in range(2, amb.rank + 1, 2) if N ** r <= 9
-             for B in enumerate_summands(amb, r)]
+    if pinned:
+        axes = [tuple(int(i == j) for j in range(amb.rank)) for i in range(amb.rank)]
+        small = [ModelSubvariety(amb, pair) for pair in itertools.combinations(axes, 2)]
+    else:
+        small = [B for r in range(2, amb.rank + 1, 2) if N ** r <= 9
+                 for B in enumerate_summands(amb, r)]
     for c in (1, 2, 3):
         sets = [[rand_point() for _ in range(rng.randrange(1, 5))], [amb.zero()]]
         if c == 1:  # the full target answers alike for every c
@@ -740,8 +767,8 @@ def test_stable_block_search_matches_the_scan_oracles(N, g):
             sets.append([amb.add(alpha, b) for b in rng.choice(small).elements()]
                         + [rand_point()])
         for S in sets:
-            assert _closure_fields(special_closure(amb, S, c)) == _closure_fields(
-                special_closure_by_scan(amb, S, c))
+            check(_closure_fields(special_closure(amb, S, c)),
+                  lambda: _closure_fields(special_closure_by_scan(amb, S, c)))
             if len(S) == amb.order and (amb.order > 256 or sum(sizes) > 1000):
                 continue  # every summand fits: too many blocks for the scan
             a = rng.choice(S)
@@ -749,8 +776,10 @@ def test_stable_block_search_matches_the_scan_oracles(N, g):
             for x in S:
                 V |= lang_orbit(amb, x, c)
             delta_cap = rng.randrange(1, N + 1)
-            assert _witness_fields(keyprop_witness(amb, V, a, c, delta_cap)) == _witness_fields(
-                keyprop_witness_by_scan(amb, V, a, c, delta_cap))
+            check(_witness_fields(keyprop_witness(amb, V, a, c, delta_cap)),
+                  lambda: _witness_fields(keyprop_witness_by_scan(amb, V, a, c, delta_cap)))
+    if pinned:
+        assert pinned.hexdigest() == PINNED_SCAN_FIELDS[N, g]
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -775,3 +804,112 @@ def test_cover_search_matches_the_scan_oracle_on_many_atom_targets(N, g, c):
                 target |= orbit
         assert _closure_fields(special_closure(amb, S, c)) == _closure_fields(
             special_closure_by_scan(amb, S, c))
+
+
+@pytest.mark.parametrize("N, g, most", [(2, 3, 9), (2, 4, 4), (3, 2, 9)])
+def test_skipping_dominated_blocks_matches_the_scan_oracle(N, g, most):
+    """Targets that are unions of 2-3 cosets of summands of at most ``most``
+    points and 0-2 more points, where many blocks overlap and most are
+    dominated at a node, against ``special_closure_by_scan``, whose search
+    skips nothing."""
+    import random
+
+    from oracles import special_closure_by_scan
+
+    amb = ModelAmbient(N, g)
+    rng = random.Random(10 * N + g)
+    small = [B for r in range(2, amb.rank + 1, 2) if N ** r <= most
+             for B in enumerate_summands(amb, r)]
+    for c in (1, 2):
+        for _ in range(4):
+            S = [tuple(rng.randrange(N) for _ in range(amb.rank)) for _ in range(rng.randrange(3))]
+            for _ in range(rng.randrange(2, 4)):
+                alpha = tuple(rng.randrange(N) for _ in range(amb.rank))
+                S += [amb.add(alpha, b) for b in rng.choice(small).elements()]
+            assert _closure_fields(special_closure(amb, S, c)) == _closure_fields(
+                special_closure_by_scan(amb, S, c))
+
+
+def test_callers_do_not_depend_on_the_order_summands_arrive_in(monkeypatch):
+    """special_closure and keyprop_witness give the same fields when
+    summands_within yields its summands reversed, or shuffled under a seed:
+    random targets on every oracle ambient, and the corpus's requests."""
+    import random
+
+    import corpus
+
+    rng = random.Random(22)
+    calls = []  # (function of no arguments returning fields)
+    for N, g in ORACLE_AMBIENTS:
+        amb = ModelAmbient(N, g)
+        for c in (1, 2, 3):
+            S = [tuple(rng.randrange(N) for _ in range(amb.rank)) for _ in range(rng.randrange(1, 5))]
+            V = set().union(*(lang_orbit(amb, x, c) for x in S))
+            calls.append(lambda amb=amb, S=S, c=c: _closure_fields(special_closure(amb, S, c)))
+            calls.append(lambda amb=amb, V=V, a=S[0], c=c: _witness_fields(
+                keyprop_witness(amb, V, a, c, amb.N // 2)))
+    gen = corpus._gen()
+    for seed in corpus.SEEDS:
+        for req in gen.finite_models(seed):
+            amb = ModelAmbient(req["N"], req["g"]) if "g" in req else None
+            if req["kind"] == "special_closure":
+                calls.append(lambda amb=amb, req=req: _closure_fields(
+                    special_closure(amb, req["S"], req["c"])))
+            elif req["kind"] == "keyprop_witness":
+                calls.append(lambda amb=amb, req=req: _witness_fields(keyprop_witness(
+                    amb, [tuple(v) for v in req["V"]], req["a"], req["c"], req["N"] // 2)))
+    want = [call() for call in calls]
+    real, longest = cst.summands_within, []
+
+    def arranged(arrange):
+        def within(*args):
+            found = list(real(*args))
+            longest.append(len(found))
+            return iter(arrange(found))
+        return within
+
+    for arrange in (lambda Bs: Bs[::-1], lambda Bs: random.Random(0).sample(Bs, len(Bs))):
+        monkeypatch.setattr(cst, "summands_within", arranged(arrange))
+        assert [call() for call in calls] == want
+    assert max(longest) > 2
+
+
+def test_summand_lists_over_the_whole_ambient_are_the_echelon_enumeration():
+    """The classifier sorts every vector of (Z/q)^n into the position lists
+    of ``linalg.free_summand_rows``, the independent enumerator, in order."""
+    for q in (2, 3, 4, 5, 8, 9, 16, 25, 27):
+        p = factorize(q).factors[0][0]
+        for n in range(1, 7):
+            if q ** n > cst.AMBIENT_ORDER_CAP:
+                break
+            rows = list(itertools.product(range(q), repeat=n))
+            for r in range(n + 1):
+                assert list(cst._row_choices(p, rows, n, r)) == [
+                    (pivots, [list(choices) for choices in lists])
+                    for pivots, lists in free_summand_rows(q, p, n, r)], (q, n, r)
+
+
+# summand counts past CATALOG_SIZE_CAP, or built at length: run in a child
+BOUNDED_HEAVY = [(2, 5), (2, 6), (2, 7), (3, 4), (5, 3)]
+
+
+def test_summands_within_the_whole_ambient_answer_with_the_catalogs_or_refuse():
+    """Every (N, g) with N^(2g) at most the ambient cap but those of
+    ``BOUNDED_HEAVY`` (tests/test_cli.py runs them under a CPU limit), with
+    the whole ambient allowed and every rank: all the catalogs, or a refusal
+    exactly when they hold more than the cap."""
+    from math import isqrt
+
+    for g in range(1, 8):
+        for N in range(1, isqrt(cst.AMBIENT_ORDER_CAP) + 1):
+            amb = ModelAmbient(N, g)
+            if amb.order > cst.AMBIENT_ORDER_CAP or (N, g) in BOUNDED_HEAVY:
+                continue
+            total = sum(cst.catalog_size(N, amb.rank, r) for r in range(0, amb.rank + 1, 2))
+            total = total if N > 1 else 1  # the trivial group holds the zero summand alone
+            try:
+                got = sum(1 for _ in summands_within(amb, set(amb.elements()), amb.order))
+            except CapExceededError as exc:
+                assert total > exc.value.required > cst.CATALOG_SIZE_CAP, (N, g)
+            else:
+                assert got == total <= cst.CATALOG_SIZE_CAP, (N, g)
