@@ -191,7 +191,10 @@ class AlgebraElement:
         of other's block, and a zero row gives a zero row.  So a product
         whose left factor has at most one nonzero entry per row, as the
         images of matrix units and block units do in a basis adapted to the
-        blocks, costs n^2 products per block instead of n^3."""
+        blocks, costs n^2 products per block instead of n^3.  A block that
+        is zero in either factor is zero in the product and is written
+        without being computed: a matrix unit is zero in every block but
+        one."""
         self._same(other)
         a, b = self.num, other.num
         out = []
@@ -200,6 +203,9 @@ class AlgebraElement:
                 out.append(a[pos] * b[pos])
                 continue
             end = pos + n * n
+            if not (any(b[pos:end]) and any(a[pos:end])):
+                out += [0] * (n * n)
+                continue
             cols = [b[c:end:n] for c in range(pos, pos + n)]
             for k in range(pos, end, n):
                 row = a[k:k + n]
@@ -358,11 +364,46 @@ class AlgebraEmbedding:
                 acc = [s + c * y for s, y in zip(acc, img)]
         return AlgebraElement._of(self.target, acc, elem.den * den)
 
+    @cached_property
+    def _inverse(self):
+        """(rows, den): the images eliminated once, for ``preimage``.
+
+        Each image's integer vector (``_over_one_den``) is eliminated with a
+        unit vector of Q^dim(source) appended, which records the combination
+        of images each echelon row is.  rows holds (p, w) per echelon row,
+        p its pivot and w the source coefficients over den of the element
+        whose image is 1 at p and 0 at every other pivot.  The images are
+        independent (the map is injective, checked or built so), so all k =
+        dim(source) pivots lie among the target coordinates; a pivot past
+        them is an internal error."""
+        nums, den = self._over_one_den
+        k = self.source.dim
+        echelon, pivots = linalg._echelon(
+            [list(num) + [int(i == j) for j in range(k)] for i, num in enumerate(nums)])
+        if pivots[-1] >= self.target.dim:
+            raise InternalCheckError("embedding images are linearly dependent")
+        out_den = lcm(*(row[p] for row, p in zip(echelon, pivots)))
+        rows = []
+        for row, p in zip(echelon, pivots):
+            f = den * (out_den // row[p])
+            rows.append((p, [f * x for x in row[-k:]]))
+        return rows, out_den
+
     def preimage(self, elem: AlgebraElement) -> AlgebraElement | None:
-        sol = _coefficients(self.images, elem)
-        if sol is None:
-            return None
-        return AlgebraElement._of(self.source, *sol)
+        """The x with apply(x) = elem, or None when elem is outside the image.
+
+        The pivot coordinates of elem fix the only candidate (``_inverse``);
+        it is applied back and compared exactly, so a candidate for an elem
+        outside the image is refused."""
+        rows, den = self._inverse
+        y = elem.num
+        acc = [0] * self.source.dim
+        for p, w in rows:
+            c = y[p]
+            if c:
+                acc = [s + c * x for s, x in zip(acc, w)]
+        pre = AlgebraElement._of(self.source, acc, elem.den * den)
+        return pre if self.apply(pre) == elem else None
 
 
 def _placed_units(source: SplitSemisimpleAlgebra, target: SplitSemisimpleAlgebra,
@@ -498,6 +539,33 @@ def _idempotent_generator(alg: SplitSemisimpleAlgebra, basis: list, label: str) 
     return AlgebraElement._of(alg, acc, td)
 
 
+def _unit_generators(A: SplitSemisimpleAlgebra) -> list[AlgebraElement]:
+    """Matrix units whose products give every matrix unit: e^b_{i,i+1} and
+    e^b_{i+1,i} in a block of size n_b >= 2, e^b_11 in a block of size 1.
+    For i < j, e_ij = e_{i,i+1} e_{i+1,i+2} ... e_{j-1,j}, and the reverse
+    for i > j; e_ii = e_{i,i+1} e_{i+1,i}, or e_{i,i-1} e_{i-1,i} for the
+    last i."""
+    out = []
+    for b, n in enumerate(A.blocks):
+        if n == 1:
+            out.append(A.basis_element(b, 0, 0))
+        for i in range(n - 1):
+            out += [A.basis_element(b, i, i + 1), A.basis_element(b, i + 1, i)]
+    return out
+
+
+def _is_right_ideal(A: SplitSemisimpleAlgebra, span) -> bool:
+    """Whether the span of the integer coordinate rows ``span`` (a canonical
+    basis) is a right ideal X of A.
+
+    X is one exactly when X*s lies in X for each generator s of
+    ``_unit_generators``: then X*u lies in X for each matrix unit u, a
+    product of generators, and X*A in X by linearity; and each generator
+    is a matrix unit."""
+    gens = _unit_generators(A)
+    return span_leq(((x * s).num for x in _integer_basis(A, span) for s in gens), span)
+
+
 def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElement:
     """The idempotent e with e*A = span(ideal_basis), for a genuine right ideal."""
     elems = list(ideal_basis)
@@ -505,16 +573,13 @@ def right_ideal_generator(A: SplitSemisimpleAlgebra, ideal_basis) -> AlgebraElem
         if e.parent != A:
             raise ValidationError("ideal basis element outside the algebra")
     span = _span_elements(A, elems)
-    alg_basis = A.basis()
-    # verify the right-ideal property exactly
-    products = ((x * unit).num for x in _integer_basis(A, span) for unit in alg_basis)
-    if not span_leq(products, span):
+    if not _is_right_ideal(A, span):
         raise ValidationError("ideal_basis does not span a right ideal")
     e = _idempotent_generator(A, span, "right ideal")
     if not e.is_idempotent():
         raise InternalCheckError("generator is not idempotent")
     # e*A = X, both inclusions
-    if _span_elements(A, [e * u for u in alg_basis]) != span:
+    if _span_elements(A, [e * u for u in A.basis()]) != span:
         raise InternalCheckError("generated ideal differs from the input ideal")
     return e
 
@@ -584,7 +649,14 @@ def lift_idempotent(
 
 
 def _is_central(alg: SplitSemisimpleAlgebra, x: AlgebraElement) -> bool:
-    return all(x * b == b * x for b in alg.basis())
+    """x is central exactly when each block of x is a scalar matrix: the
+    centre of M_{n_1}(Q) x ... x M_{n_k}(Q) is Q*I_{n_1} x ... x Q*I_{n_k}."""
+    num = x.num
+    for pos, n in alg._layout:
+        d = num[pos]
+        if any(num[pos + k] != (d if k % (n + 1) == 0 else 0) for k in range(n * n)):
+            return False
+    return True
 
 
 def ideal_membership_mod_pi(

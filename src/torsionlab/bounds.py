@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .errors import CapExceededError, InternalCheckError, ValidationError
@@ -109,6 +110,42 @@ class BoundParams:
     @property
     def d_factored(self) -> FactoredInteger:
         return factorize(self.d)
+
+    # The constants below depend on the parameters alone; each is derived on
+    # its first read and kept by this (frozen) object.
+
+    @cached_property
+    def exponents(self) -> tuple[Fraction, Fraction, Fraction]:
+        """(lambda, delta, delta'): ``exponent_constants(Delta, c, eps_slack)``."""
+        return exponent_constants(self.Delta, self.c, self.eps_slack)
+
+    @cached_property
+    def scaled_exponents(self) -> tuple[int, int, int]:
+        """(L, delta*L, delta'*L), with L the least common denominator of delta
+        and delta', so that every power of the certificate is an integer power."""
+        _, delta, delta_prime = self.exponents
+        L = lcm(delta.denominator, delta_prime.denominator)
+        return L, int(delta * L), int(delta_prime * L)
+
+    @cached_property
+    def closed_form(self) -> int:
+        """Ceiling of max{a'*b'^{b'}, a'^{b'/(b'-1)} * D^{delta*b'/(b'-1)}} with
+        a' = alpha^{delta'} and b' = delta'*beta + delta, for the power-form
+        constants alpha and beta."""
+        _, delta, delta_prime = self.exponents
+        if self.Delta == 0:
+            return 1
+        beta_prime = delta_prime * POWER_FORM_BETA + delta
+        if beta_prime <= 1:
+            raise ValidationError("closed form needs beta' > 1 (holds for Delta >= 1)")
+        term1 = _ceil_power_product(
+            [(POWER_FORM_ALPHA, delta_prime), (beta_prime, beta_prime)]
+        )
+        ratio = beta_prime / (beta_prime - 1)
+        term2 = _ceil_power_product(
+            [(POWER_FORM_ALPHA, delta_prime * ratio), (Fraction(self.D), delta * ratio)]
+        )
+        return max(term1, term2)
 
 
 def x_value(params: BoundParams) -> int:
@@ -231,31 +268,13 @@ def _ceil_power_product(bases_exps: list[tuple[Fraction, Fraction]]) -> int:
 
 
 def closed_form_threshold(params: BoundParams) -> int:
-    """Ceiling of max{a'*b'^{b'}, a'^{b'/(b'-1)} * D^{delta*b'/(b'-1)}} with
-    a' = alpha^{delta'} and b' = delta'*beta + delta, for the power-form
-    constants alpha and beta."""
-    _, delta, delta_prime = exponent_constants(params.Delta, params.c, params.eps_slack)
-    if params.Delta == 0:
-        return 1
-    beta_prime = delta_prime * POWER_FORM_BETA + delta
-    if beta_prime <= 1:
-        raise ValidationError("closed form needs beta' > 1 (holds for Delta >= 1)")
-    term1 = _ceil_power_product(
-        [(POWER_FORM_ALPHA, delta_prime), (beta_prime, beta_prime)]
-    )
-    ratio = beta_prime / (beta_prime - 1)
-    term2 = _ceil_power_product(
-        [(POWER_FORM_ALPHA, delta_prime * ratio), (Fraction(params.D), delta * ratio)]
-    )
-    return max(term1, term2)
+    """The closed-form comparator ``BoundParams.closed_form``."""
+    return params.closed_form
 
 
 def _scaled_exponents(params: BoundParams) -> tuple[int, int, int]:
-    """(L, delta*L, delta'*L), with L the least common denominator of delta and
-    delta', so that every power below is an integer power."""
-    _, delta, delta_prime = exponent_constants(params.Delta, params.c, params.eps_slack)
-    L = lcm(delta.denominator, delta_prime.denominator)
-    return L, int(delta * L), int(delta_prime * L)
+    """``BoundParams.scaled_exponents``: (L, delta*L, delta'*L)."""
+    return params.scaled_exponents
 
 
 def _kanold_rhs_powL(k: int, D: int, dL: int, dpL: int) -> int:
@@ -457,9 +476,7 @@ class BoundReport:
 
 def bound_report(params: BoundParams) -> BoundReport:
     """Assemble every constant for one parameter set."""
-    lam, delta, delta_prime = exponent_constants(
-        params.Delta, params.c, params.eps_slack
-    )
+    lam, delta, delta_prime = params.exponents
     x = x_value(params)
     n = nth_prime(x)
     N = capital_n(params)

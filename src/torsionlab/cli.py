@@ -114,11 +114,44 @@ def _element_to_json(elem: alg.AlgebraElement):
     ]
 
 
+#: integer literals of an ``--input`` file with at most this many digits are
+#: read by ``int()``; longer ones by halves (``_parse_int``)
+PARSE_LEAF_DIGITS = 3000
+
+
+def _parse_int(literal: str) -> int:
+    """``int(literal)`` for a JSON integer literal, in subquadratic time.
+
+    ``int()`` is quadratic in the number of digits (CPython 3.11).  A literal
+    of more than ``PARSE_LEAF_DIGITS`` digits is split k digits from its end,
+    k the largest power of two below its length, and read as
+    hi * 10^k + lo = (hi * 5^k << k) + lo, both halves the same way; each
+    5^k is made once per literal.  A literal past the interpreter's digit
+    limit goes to ``int()``, which refuses it as it always has."""
+    digits = literal[literal.startswith("-"):]
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if len(digits) <= PARSE_LEAF_DIGITS or 0 < limit < len(digits):
+        return int(literal)
+    powers = {}
+
+    def read(lo: int, hi: int) -> int:
+        if hi - lo <= PARSE_LEAF_DIGITS:
+            return int(digits[lo:hi])
+        k = 1 << (hi - lo - 1).bit_length() - 1
+        top = read(lo, hi - k)
+        if k not in powers:
+            powers[k] = 5 ** k
+        return (top * powers[k] << k) + read(hi - k, hi)
+
+    value = read(0, len(digits))
+    return -value if len(digits) < len(literal) else value
+
+
 def _read_input(path: str) -> dict:
     """The JSON object of an ``--input`` file; anything else is a validation error."""
     with open(path) as fh:
         try:
-            data = json.load(fh)
+            data = json.load(fh, parse_int=_parse_int)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError("input %s is not valid JSON: %s" % (path, exc))
     if not isinstance(data, dict):

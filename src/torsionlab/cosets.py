@@ -260,7 +260,9 @@ CATALOG_SIZE_CAP = 1 << 20
 def catalog_size(N: int, n: int, r: int) -> int:
     """Number of free rank-r direct summands of (Z/N)^n (0 <= r <= n): the
     product over p^e || N of the Gaussian binomial [n r]_p times
-    p^((e-1) r (n-r)).  N = 1 counts the zero summand alone."""
+    p^((e-1) r (n-r)).  N = 1 counts the zero summand alone, at rank 0."""
+    if N == 1:
+        return int(r == 0)
     out = 1
     for p, e in factorize(N).factors:
         num = den = 1

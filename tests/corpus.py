@@ -10,6 +10,9 @@ at the seeds in ``SEEDS``:
 - ``special-closure`` and ``keyprop-witness``: the ``special_closure`` and
   ``keyprop_witness`` requests of ``gen.finite_models``.
 
+Besides these, ``delta-bound`` runs on a fixed grid (``_delta_bound_cases``)
+in the json, csv and text formats.
+
 A record is (exit code, stdout, stderr) of one ``cli.main`` call.  Input
 files are written under fixed relative names in the working directory, so
 that no record depends on where the corpus runs.  ``corpus_digests.json``
@@ -88,6 +91,27 @@ def _model_case(req: dict):
                                "--a", _points([req["a"]]), "--delta-cap", str(req["N"] // 2)], None
 
 
+def _delta_bound_cases():
+    """(subcommand, argv, None) of ``delta-bound`` in each format, on D = 1..12,
+    Delta = 0..4 and c = 1..3, with and without --linear-x, skipping the
+    inputs that refuse: every Delta >= 3 on this grid passes the bit budget
+    (its certificate or an iterate) and exits 2.  (Delta, c) = (2, 3) spends
+    0.1-0.3 s per call in the primorial scan and prints a threshold of over a
+    million bits, so it runs at D = 1 and 12 only."""
+    out = []
+    for fmt in ("json", "csv", "text"):
+        for D in range(1, 13):
+            for Delta in range(3):
+                for c in range(1, 4):
+                    if (Delta, c) == (2, 3) and D not in (1, 12):
+                        continue
+                    for linear in ((), ("--linear-x",)):
+                        out.append(("delta-bound", ["--format", fmt, "delta-bound", "--D", str(D),
+                                                    "--Delta", str(Delta), "--c", str(c),
+                                                    *linear], None))
+    return out
+
+
 def cases() -> list[tuple[str, list[str], tuple[str, str] | None]]:
     """Every (subcommand, argv, input file or None) of the corpus, in order."""
     gen = _gen()
@@ -97,7 +121,7 @@ def cases() -> list[tuple[str, list[str], tuple[str, str] | None]]:
                 if req["kind"] in ("lift", "lift_central", "user_rep")]
         out += [_model_case(req) for req in gen.finite_models(seed)
                 if req["kind"] in ("special_closure", "keyprop_witness")]
-    return out
+    return out + _delta_bound_cases()
 
 
 def record(argv: list[str]) -> tuple[int, str, str]:

@@ -9,7 +9,8 @@ the group closure's, the orbit-density report's and the torsion-coset closure's 
 references are the library's earlier, direct algorithms
 instead, and so are the Fraction references of the rational kernels and of
 algebra element arithmetic, the two-sided solve for an ideal's unit and the
-divisor scan for a coset's order.
+divisor scan for a coset's order, and the centre test, right-ideal check
+and preimage solve that the lifts made before reading the block structure.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from torsionlab.glorbits import (
     all_subspaces,
 )
 from torsionlab.integers import factorize, nth_prime
-from torsionlab.linalg import ceil_root_fraction, int_solve, lcm, rank
+from torsionlab.linalg import ceil_root_fraction, int_solve, lcm, rank, span_leq
 
 
 def jacobsthal_by_definition(d: int, window: int = 1 << 16) -> int:
@@ -615,6 +616,36 @@ def two_sided_unit_by_solve(alg: SplitSemisimpleAlgebra, basis):
     tn, td = sol_k
     acc = [sum(t * x.num[k] for t, x in zip(tn, k_elems)) for k in range(alg.dim)]
     return AlgebraElement._of(alg, acc, td)
+
+
+# --- the lift path's replaced checks -------------------------------------------------
+#
+# The centre test, the right-ideal check and the preimage solve as they were
+# before the library read them off the block structure: commuting with
+# every matrix unit (2*dim products, of per-block Fraction data here), the
+# ideal times every matrix unit, and one linear solve per element.
+
+
+def is_central_by_products(alg: SplitSemisimpleAlgebra, x) -> bool:
+    """x commutes with every matrix unit of alg."""
+    return all(blocks_mul(x.data, u.data) == blocks_mul(u.data, x.data) for u in alg.basis())
+
+
+def right_ideal_check_by_all_units(alg: SplitSemisimpleAlgebra, span) -> bool:
+    """The span of the integer coordinate rows ``span`` (a canonical basis)
+    times every matrix unit lies in the span."""
+    xs = [AlgebraElement._of(alg, row, 1) for row in span]
+    return span_leq(((x * u).num for x in xs for u in alg.basis()), span)
+
+
+def preimage_by_solve(emb, elem):
+    """The x with emb.apply(x) = elem, or None: ``int_solve`` for the
+    coefficients of elem in the images, the system cleared over one common
+    denominator."""
+    den = lcm(elem.den, *(x.den for x in emb.images))
+    cols = [[v * (den // x.den) for v in x.num] for x in emb.images]
+    sol = int_solve(list(zip(*cols)), [v * (den // elem.den) for v in elem.num])
+    return None if sol is None else AlgebraElement._of(emb.source, *sol)
 
 
 # --- group closure: the matrix-product reference --------------------------------------

@@ -15,10 +15,13 @@ from oracles import (
     blocks_sub,
     embedding_apply_by_fractions,
     embedding_error_by_reference,
+    is_central_by_products,
     mat_mul,
+    preimage_by_solve,
     primitive_rows,
     representation_apply_by_fractions,
     representation_error_by_reference,
+    right_ideal_check_by_all_units,
     rref_by_fractions,
     standard_representation_images_by_fractions,
     two_sided_unit_by_solve,
@@ -33,6 +36,8 @@ from torsionlab.algebras import (
     SplitSemisimpleAlgebra,
     _check_homomorphism,
     _idempotent_generator,
+    _is_central,
+    _is_right_ideal,
     _span_elements,
     column_span,
     diagonal_embedding,
@@ -42,7 +47,7 @@ from torsionlab.algebras import (
     right_ideal_generator,
     standard_representation,
 )
-from torsionlab.errors import ValidationError
+from torsionlab.errors import InternalCheckError, ValidationError
 from torsionlab.linalg import span_leq
 
 
@@ -474,6 +479,127 @@ def test_products_and_the_matrix_unit_checks_build_no_fraction():
         assert len(made) == 1 + sum(1 for v in x.num if v)
     assert u * e == e and e * u == u  # e*N = u*N
     assert lift.is_idempotent()
+
+
+# --- the block-structure forms against the paths they replaced -------------------
+
+
+def _random_element(rng, alg, zero_blocks=()):
+    """Entries in [-3, 3] over a denominator in [1, 3]; the blocks listed zero."""
+    num = [0 if b in zero_blocks else rng.randint(-3, 3)
+           for b, n in enumerate(alg.blocks) for _ in range(n * n)]
+    return AlgebraElement._of(alg, num, rng.randint(1, 3))
+
+
+def test_products_with_zero_blocks_match_blocks_mul():
+    # __mul__ writes a block that is zero in either factor without computing it
+    rng = random.Random(23)
+    skipped = 0
+    for blocks in _block_tuples():
+        A = SplitSemisimpleAlgebra(blocks)
+        k = len(blocks)
+        for _ in range(3):
+            x = _random_element(rng, A, {b for b in range(k) if rng.random() < 0.5})
+            y = _random_element(rng, A, {b for b in range(k) if rng.random() < 0.5})
+            for a, b in ((x, y), (y, x)):
+                assert (a * b).data == blocks_mul(a.data, b.data)
+                skipped += any(n > 1 and (a.data[i] == zeros(n, n)) != (b.data[i] == zeros(n, n))
+                               for i, n in enumerate(blocks))
+        unit = A.basis()[-1]
+        assert (x * unit).data == blocks_mul(x.data, unit.data)
+        assert (unit * x).data == blocks_mul(unit.data, x.data)
+    assert skipped > 500
+
+
+def test_centre_test_matches_the_products():
+    # a central element is a scalar in each block, and only such an element
+    rng = random.Random(29)
+    verdicts = []
+    for blocks in _block_tuples():
+        A = SplitSemisimpleAlgebra(blocks)
+        central = A.zero()
+        for b in range(len(blocks)):
+            central = central + A.block_unit(b).scale(rng.randint(-2, 2))
+        candidates = [central, A.one(), _random_element(rng, A)]
+        b, n = max(enumerate(blocks), key=lambda bn: bn[1])
+        if n > 1:
+            candidates += [central + E(A, b, 0, n - 1), central + E(A, b, n - 1, n - 1)]
+        for x in candidates:
+            verdicts.append(_is_central(A, x))
+            assert verdicts[-1] == is_central_by_products(A, x), (blocks, x)
+        assert _is_central(A, central)
+    assert verdicts.count(False) > 800 and verdicts.count(True) > 800
+
+
+def test_right_ideal_check_matches_all_units():
+    # X*s in X for the generators s is X*u in X for every matrix unit u
+    rng = random.Random(31)
+    verdicts = []
+    for blocks in _block_tuples():
+        A = SplitSemisimpleAlgebra(blocks)
+        x = _random_element(rng, A)
+        ideal = _span_elements(A, [x * u for u in A.basis()])
+        n = blocks[-1]
+        left = _span_elements(A, [u * E(A, len(blocks) - 1, 0, 0) for u in A.basis()])
+        row = _span_elements(A, [E(A, len(blocks) - 1, 0, j) for j in range(n - 1)])
+        for span in ([], ideal, ideal[:-1], _span_elements(A, [x]), left, row):
+            verdicts.append(_is_right_ideal(A, span))
+            assert verdicts[-1] == right_ideal_check_by_all_units(A, span), (blocks, span)
+    assert verdicts.count(False) > 800 and verdicts.count(True) > 800
+    A = SplitSemisimpleAlgebra((1, 3))
+    with pytest.raises(ValidationError, match="^ideal_basis does not span a right ideal$"):
+        right_ideal_generator(A, [E(A, 1, 0, 0), E(A, 1, 0, 1)])
+
+
+def _conjugated_placement(rng, M):
+    """M placed down the diagonal of M_s (the standard representation),
+    conjugated by a random integer P of determinant 1: the image of e^b_ij
+    is P e_kl P^-1, the outer product of column k of P and row l of P^-1.
+    Built correct, so not checked."""
+    s = sum(M.blocks)
+    P = [[int(i == j) for j in range(s)] for i in range(s)]
+    P_inv = [row[:] for row in P]
+    for _ in range(2 * s if s > 1 else 0):
+        i, j = rng.sample(range(s), 2)
+        a = rng.choice((-2, -1, 1, 2))
+        for row in P:  # P <- P (1 + a e_ij)
+            row[j] += a * row[i]
+        P_inv[i] = [x - a * y for x, y in zip(P_inv[i], P_inv[j])]  # (1 - a e_ij) P^-1
+    N = SplitSemisimpleAlgebra((s,))
+    images = []
+    for b, i, j in M.basis_indices():
+        k, l = sum(M.blocks[:b]) + i, sum(M.blocks[:b]) + j
+        images.append(AlgebraElement._of(N, [P[r][k] * P_inv[l][c]
+                                            for r in range(s) for c in range(s)], 1))
+    return AlgebraEmbedding._of(M, N, tuple(images))
+
+
+def test_preimage_matches_the_solve():
+    # one elimination per embedding, each candidate applied back: the same
+    # preimages as a solve per element, and None outside the image
+    rng = random.Random(37)
+    outside = 0
+    for blocks in _block_tuples():
+        M = SplitSemisimpleAlgebra(blocks)
+        for emb in (standard_representation(M)._emb, _conjugated_placement(rng, M)):
+            N = emb.target
+            x = _random_element(rng, M)
+            y = emb.apply(x)
+            assert emb.preimage(y) == x
+            # a random element, and the image plus the corner unit e_1s of M_s
+            for t in (y, _random_element(rng, N) if emb.images[0].num.count(0) > 1 else
+                      y + E(N, 0, 0, N.blocks[0] - 1)):
+                pre = emb.preimage(t)
+                assert pre == preimage_by_solve(emb, t), (blocks, t)
+                outside += pre is None
+    assert outside > 400
+
+
+def test_preimage_of_dependent_images_is_an_internal_error():
+    Q = SplitSemisimpleAlgebra((1,))
+    emb = AlgebraEmbedding._of(SplitSemisimpleAlgebra((1, 1)), Q, (Q.one(), Q.one()))
+    with pytest.raises(InternalCheckError, match="^embedding images are linearly dependent$"):
+        emb.preimage(Q.one())
 
 
 # --- right ideal generator -------------------------------------------------------

@@ -459,6 +459,25 @@ def test_gl_verify_tests_a_large_ell_fast(tmp_path, ell, line):
     assert proc.stderr.splitlines() == ["error: validation: " + line]
 
 
+def test_gl_verify_reads_a_2m_digit_ell_fast(tmp_path):
+    # an ell of 2 000 000 digits, the most main's digit limit admits, is read
+    # by halves and refused by its bit length; read by int() it was killed
+    # at 10 CPU s.  One digit more is refused by the limit, as before
+    path = tmp_path / "long_ell.json"
+    body = ', "dim": 0, "generators": [], "a": [], "V": []}'
+    path.write_text('{"ell": ' + "7" * 2_000_000 + body)
+    proc = _limited_child(["gl-verify", "--input", str(path)], cpu_seconds=4)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines() == [
+        "error: validation: ell of 6643856 bits exceeds 2^64, the limit of the primality test"]
+    path.write_text('{"ell": ' + "7" * 2_000_001 + body)
+    proc = _limited_child(["gl-verify", "--input", str(path)], cpu_seconds=4)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.splitlines()[-1] == (
+        "ValueError: Exceeds the limit (2000000 digits) for integer string conversion: "
+        "value has 2000001 digits; use sys.set_int_max_str_digits() to increase the limit")
+
+
 def _point(n):
     return ",".join(["1"] + ["0"] * (n - 1))
 

@@ -443,7 +443,10 @@ def _gaussian_binomial(n, r, p):
 
 
 def _catalog_size(N, n, r):
-    """Free rank-r summands of (Z/N)^n: prod over p^e || N of [n r]_p p^((e-1) r (n-r))."""
+    """Free rank-r summands of (Z/N)^n: prod over p^e || N of [n r]_p p^((e-1) r (n-r)).
+    The trivial group (N = 1) has its zero summand alone, at rank 0."""
+    if N == 1:
+        return int(r == 0)
     out = 1
     for p, e in factorize(N).factors:
         out *= _gaussian_binomial(n, r, p) * p ** ((e - 1) * r * (n - r))
@@ -658,6 +661,17 @@ def test_catalog_size_matches_the_closed_form():
         for n in range(1, 7):
             for r in range(n + 1):
                 assert cst.catalog_size(N, n, r) == _catalog_size(N, n, r)
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 6])
+def test_catalog_size_counts_the_built_catalog(N):
+    # the closed form the refusals are decided by, against the catalogs the
+    # builder makes; at N = 1 the zero summand is the only one, at rank 0
+    for g in (1, 2):
+        amb = ModelAmbient(N, g)
+        sizes = [cst.catalog_size(N, amb.rank, r) for r in range(0, amb.rank + 1, 2)]
+        assert sizes == [len(enumerate_summands(amb, r)) for r in range(0, amb.rank + 1, 2)]
+    assert [cst.catalog_size(1, 4, r) for r in (0, 2, 4)] == [1, 0, 0]
 
 
 def _no_build(*args):
@@ -906,7 +920,6 @@ def test_summands_within_the_whole_ambient_answer_with_the_catalogs_or_refuse():
             if amb.order > cst.AMBIENT_ORDER_CAP or (N, g) in BOUNDED_HEAVY:
                 continue
             total = sum(cst.catalog_size(N, amb.rank, r) for r in range(0, amb.rank + 1, 2))
-            total = total if N > 1 else 1  # the trivial group holds the zero summand alone
             try:
                 got = sum(1 for _ in summands_within(amb, set(amb.elements()), amb.order))
             except CapExceededError as exc:

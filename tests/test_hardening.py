@@ -20,6 +20,7 @@ from oracles import (
     span_intersect_by_fractions,
     span_leq_by_fractions,
 )
+from torsionlab.cli import PARSE_LEAF_DIGITS, _parse_int
 from torsionlab.cosets import (
     ModelAmbient,
     TorsionCoset,
@@ -84,6 +85,69 @@ def test_decimal_str_is_str(bits, seed, negative):
     assert s.startswith("-") == (n < 0)
     assert digits.isdigit() and digits.isascii() and (digits == "0" or digits[0] != "0")
     assert int_from_decimal_by_halves(s) == n
+
+
+# --- decimal input ----------------------------------------------------------------
+
+_LEAF_BITS = int(PARSE_LEAF_DIGITS * 3.3219)  # about the bits of a leaf's digits
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(0, _STR_CHECKED_BITS),
+                 st.sampled_from((_LEAF_BITS - 4, _LEAF_BITS, _LEAF_BITS + 4))),
+       st.integers(0, 2 ** 32), st.booleans())
+@example(0, 0, False)
+@example(0, 0, True)
+@example(1 << 21, 6, False)
+@example(1 << 21, 7, True)
+def test_input_integers_read_as_int_reads_them(bits, seed, negative):
+    # a JSON integer literal of up to 2^21 bits reads back as n; up to 2^17
+    # bits int() itself is asked.  The digit limit is lifted, as main lifts
+    # it past every literal it reads
+    n = random.Random(seed).getrandbits(bits) | (1 << bits >> 1)
+    if negative:
+        n = -n
+    s = decimal_str(n)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        assert _parse_int(s) == n
+        if bits <= _STR_CHECKED_BITS:
+            assert int(s) == n
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@settings(max_examples=200)
+@given(st.text("0123456789", min_size=1, max_size=80), st.booleans(), st.integers(1, 9))
+def test_input_integers_split_at_any_leaf_as_int_reads_them(digits, negative, leaf):
+    # tiny leaves split even short literals many times over; leading zeros
+    # (which JSON never writes) read as int() reads them
+    import torsionlab.cli as cli
+
+    literal = "-" + digits if negative else digits
+    saved = cli.PARSE_LEAF_DIGITS
+    try:
+        cli.PARSE_LEAF_DIGITS = leaf
+        assert _parse_int(literal) == int(literal)
+    finally:
+        cli.PARSE_LEAF_DIGITS = saved
+
+
+def test_input_integers_past_the_digit_limit_are_refused_by_int():
+    at_limit = "7" * (PARSE_LEAF_DIGITS + 1000)
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(len(at_limit))
+        assert _parse_int("-" + at_limit) == -int(at_limit)
+        for literal in (at_limit + "7", "-" + at_limit + "7"):
+            with pytest.raises(ValueError) as got:
+                _parse_int(literal)
+            with pytest.raises(ValueError) as expected:
+                int(literal)
+            assert str(got.value) == str(expected.value)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # --- integer roots -----------------------------------------------------------
